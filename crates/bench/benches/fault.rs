@@ -1,17 +1,16 @@
 //! Fault-injection overhead: the same module implementation run plain,
-//! through the resilient wrapper with the no-op injector, and under an
-//! armed-but-silent `FaultPlan` (every rate zero), plus microbenches of
+//! through an unarmed implementation cache, and through a cache armed with
+//! a silent `FaultPlan` (every rate zero), plus microbenches of
 //! the injector consult and backoff primitives. The acceptance bar is
 //! that the disabled injector costs the flow nothing measurable (< 2%).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use tms_core::cnn::cnvw1a1;
 use tms_core::device::Device;
 use tms_core::fault::{noop, FaultInjector, FaultPlan, FaultPoint, Retry};
-use tms_core::flow::{
-    implement_module, implement_module_resilient, CfPolicy, Resilience, RwFlowConfig,
-};
+use tms_core::flow::{implement_module, CfPolicy, ImplementationCache, RwFlowConfig};
 use tms_core::pblock::CfSearch;
 use tms_core::place::PlacementModel;
 use tms_core::stitch::StitchConfig;
@@ -41,32 +40,17 @@ fn bench_flow_overhead(c: &mut Criterion) {
     // Unarmed: one `armed()` check, then the plain call — the production
     // configuration, and the one the < 2% acceptance bar applies to.
     group.bench_function("resilient_noop", |b| {
-        let res = Resilience::default();
-        b.iter(|| {
-            black_box(implement_module_resilient(
-                &m.name,
-                &m.netlist,
-                &dev,
-                &cfg(),
-                &res,
-            ))
-        });
+        let cache = ImplementationCache::new();
+        b.iter(|| black_box(cache.implement(&m.name, &m.netlist, &dev, &cfg())));
     });
     // Armed but silent: the retry loop and one seeded-hash consult per
     // attempt are live, yet no fault ever fires. Upper bound on what an
     // operator pays for leaving a zero-rate plan attached.
     group.bench_function("resilient_silent_plan", |b| {
-        let plan = FaultPlan::seeded(7);
-        let res = Resilience::new(&plan, Retry::attempts(3));
-        b.iter(|| {
-            black_box(implement_module_resilient(
-                &m.name,
-                &m.netlist,
-                &dev,
-                &cfg(),
-                &res,
-            ))
-        });
+        let cache = ImplementationCache::new()
+            .with_fault(Arc::new(FaultPlan::seeded(7)))
+            .with_retry(Retry::attempts(3));
+        b.iter(|| black_box(cache.implement(&m.name, &m.netlist, &dev, &cfg())));
     });
     group.finish();
 }

@@ -43,6 +43,28 @@ impl fmt::Display for DeviceName {
     }
 }
 
+impl std::str::FromStr for DeviceName {
+    type Err = String;
+
+    /// The inverse of [`Display`](fmt::Display): `"xc7z020"` parses to
+    /// [`DeviceName::Xc7z020`]; any other string is an
+    /// `unknown device '<name>'` error.
+    fn from_str(s: &str) -> Result<DeviceName, String> {
+        [
+            DeviceName::Xc7z010,
+            DeviceName::Xc7z020,
+            DeviceName::Xc7z030,
+            DeviceName::Xc7z045,
+            DeviceName::Xc7z100,
+            DeviceName::UltraScaleLike,
+            DeviceName::TestFabric,
+        ]
+        .into_iter()
+        .find(|name| name.to_string() == s)
+        .ok_or_else(|| format!("unknown device '{s}'"))
+    }
+}
+
 /// One fabric column: a vertical stack of sites of a single kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Column {
@@ -400,6 +422,21 @@ mod tests {
         assert_eq!(aligned_sites(0, 9, 5), 1); // second site clipped
         assert_eq!(aligned_sites(3, 4, 5), 0);
         assert_eq!(aligned_sites(5, 5, 5), 0);
+    }
+
+    #[test]
+    fn device_names_parse_from_their_display_form() {
+        for d in Device::zynq_family()
+            .into_iter()
+            .chain([Device::ultrascale_like(), Device::test_fabric()])
+        {
+            assert_eq!(d.name().to_string().parse::<DeviceName>(), Ok(d.name()));
+        }
+        assert_eq!(
+            "xc7z02o".parse::<DeviceName>(),
+            Err("unknown device 'xc7z02o'".to_string())
+        );
+        assert!("XC7Z020".parse::<DeviceName>().is_err(), "names are exact");
     }
 
     #[test]

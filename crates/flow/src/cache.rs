@@ -5,23 +5,22 @@
 //! module provides that reuse as a first-class API: an
 //! [`ImplementationCache`] keyed by a structural fingerprint of each
 //! module's netlist, and [`run_rw_flow_cached`] which pre-implements only
-//! cache misses and re-stitches everything.
+//! cache misses and re-stitches everything. The cache owns everything that
+//! flow consults besides its inputs: the verified read path, the fault
+//! injector and the retry policy (see [`ImplementationCache::implement`]).
 
 use crate::integrity::{audit_module, verify_sealed, SealedModule};
-use crate::resilient::Resilience;
-use crate::rwflow::{
-    implement_module, stitch_implemented, CfPolicy, ImplementedModule, RwFlowConfig, RwFlowResult,
-};
+use crate::rwflow::{stitch_implemented, CfPolicy, ImplementedModule, RwFlowConfig, RwFlowResult};
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tms_cnn::CnvDesign;
 use tms_device::{Device, DeviceName};
 use tms_fault::{FaultInjector, FaultPoint, NoopInjector, Retry};
 use tms_netlist::{Netlist, NetlistStats};
+use tms_obs::Recorder;
 use tms_store::{Store, StoreSnapshot};
 use tms_verify::Auditor;
 
@@ -119,16 +118,16 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4_096;
 /// side). The entry count is bounded; inserting past capacity evicts the
 /// least-recently-used implementation.
 ///
-/// Persistable to disk two ways:
+/// [`ImplementationCache::with_store`] makes it persistent: the cache is
+/// backed by a [`MacroStore`], every insert is WAL-appended
+/// **incrementally** and survives a crash, and a restarted process
+/// warm-starts from the same directory — the durable macro library the
+/// RapidWright-style reuse economics assume.
 ///
-/// * [`ImplementationCache::save`] / [`ImplementationCache::load`] write
-///   the whole library as one JSON blob (atomically, via temp-file +
-///   rename) — fine for batch explorations that persist once at exit;
-/// * [`ImplementationCache::with_store`] backs the cache with a
-///   [`MacroStore`]: every insert is WAL-appended **incrementally** and
-///   survives a crash, and a restarted process warm-starts from the same
-///   directory — the durable macro library the RapidWright-style reuse
-///   economics assume.
+/// The cache also carries the flow's fault injector and retry policy
+/// ([`with_fault`](ImplementationCache::with_fault),
+/// [`with_retry`](ImplementationCache::with_retry)), so one armed cache
+/// drives every fault point the cached flow consults.
 pub struct ImplementationCache {
     entries: HashMap<ModuleFingerprint, CacheSlot>,
     /// When set, the store is the single backend: `entries` stays empty
@@ -139,8 +138,9 @@ pub struct ImplementationCache {
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Retry policy applied to store-mode writes.
-    retry: Retry,
+    /// Retry policy applied to store-mode writes and, under an armed
+    /// injector, to per-module implementation attempts.
+    pub(crate) retry: Retry,
     /// Consecutive store-put failures (after retries); resets on the
     /// first success. Services watch this to decide when the store is
     /// persistently broken and the cache should degrade to memory-only.
@@ -148,8 +148,9 @@ pub struct ImplementationCache {
     /// Total store puts that failed even after retrying.
     store_put_failures: AtomicU64,
     /// Fault injector consulted on verified reads (the
-    /// `cache.corrupt_macro` silent-corruption point).
-    fault: Arc<dyn FaultInjector>,
+    /// `cache.corrupt_macro` silent-corruption point) and by the cached
+    /// flow at `flow.place` and `flow.route`.
+    pub(crate) fault: Arc<dyn FaultInjector>,
     /// Verified reads that failed (digest mismatch, audit violation, or
     /// injected corruption that broke the encoding).
     verify_failures: AtomicU64,
@@ -211,18 +212,21 @@ impl ImplementationCache {
         }
     }
 
-    /// Replace the retry policy applied to store-mode writes (default:
+    /// Replace the retry policy applied to store-mode writes and to
+    /// injected `flow.place`/`flow.route` faults (default:
     /// [`Retry::default`] — three attempts with millisecond backoff).
     pub fn with_retry(mut self, retry: Retry) -> Self {
         self.retry = retry;
         self
     }
 
-    /// Arm the `cache.corrupt_macro` fault point: verified reads consult
-    /// `fault` and, when it fires, the served module is bit-flipped on its
-    /// way out — the read-verification layer must catch it. Unverified
-    /// [`get`](ImplementationCache::get) is deliberately not instrumented:
-    /// the point exists to prove detection, not to break plain lookups.
+    /// Arm the cache's fault points with `fault`. Verified reads consult
+    /// `cache.corrupt_macro` and, when it fires, the served module is
+    /// bit-flipped on its way out — the read-verification layer must catch
+    /// it. Unverified [`get`](ImplementationCache::get) is deliberately not
+    /// instrumented: the point exists to prove detection, not to break
+    /// plain lookups. [`implement`](ImplementationCache::implement) and the
+    /// cached flow consult `flow.place` and `flow.route`.
     pub fn with_fault(mut self, fault: Arc<dyn FaultInjector>) -> Self {
         self.fault = fault;
         self
@@ -267,8 +271,8 @@ impl ImplementationCache {
     }
 
     /// Look up a module implementation without integrity checks. The
-    /// batch flows use [`get_verified`](ImplementationCache::get_verified)
-    /// instead; this stays for statistics probes and tests.
+    /// flows use [`lookup`](ImplementationCache::lookup) instead; this
+    /// stays for statistics probes and tests.
     pub fn get(&self, key: &ModuleFingerprint) -> Option<ImplementedModule> {
         if let Some(store) = &self.store {
             let hit = store.get(key).map(|sealed| sealed.module);
@@ -403,17 +407,40 @@ impl ImplementationCache {
         VerifiedLookup::Corrupt(reason)
     }
 
-    /// Store a module implementation, evicting the least-recently-used
-    /// entry if the cache is at capacity. In store mode the insert is
-    /// WAL-appended; a persistence error is swallowed here (the
-    /// implementation is still returned to the caller by the flow) but
-    /// counted — see [`try_insert`](ImplementationCache::try_insert) for
-    /// the error-surfacing variant.
-    pub fn insert(&mut self, key: ModuleFingerprint, module: ImplementedModule) {
-        let _ = self.try_insert(key, module);
+    /// The lookup every cached path makes: a verified read against
+    /// `auditor` (see [`get_verified`](ImplementationCache::get_verified)),
+    /// or a plain [`get`](ImplementationCache::get) when `auditor` is
+    /// `None`, booking `cache.hit` or `cache.miss` on `obs`. A record that
+    /// fails verification is quarantined, booked as `cache.quarantined`
+    /// plus a miss, and returned as `None`: callers recompute it exactly
+    /// like a miss, and the fresh insert overwrites the bad record.
+    pub fn lookup(
+        &self,
+        key: &ModuleFingerprint,
+        auditor: Option<&Auditor<'_>>,
+        obs: &dyn Recorder,
+    ) -> Option<ImplementedModule> {
+        let hit = match auditor {
+            Some(auditor) => match self.get_verified(key, auditor) {
+                VerifiedLookup::Hit(module) => Some(module),
+                VerifiedLookup::Corrupt(_) => {
+                    obs.count("cache.quarantined", 1);
+                    None
+                }
+                VerifiedLookup::Miss => None,
+            },
+            None => self.get(key),
+        };
+        match hit {
+            Some(_) => obs.count("cache.hit", 1),
+            None => obs.count("cache.miss", 1),
+        }
+        hit
     }
 
-    /// [`insert`](ImplementationCache::insert) that surfaces failures.
+    /// Store a module implementation, evicting the least-recently-used
+    /// entry if the cache is at capacity; in store mode the insert is
+    /// WAL-appended instead.
     ///
     /// Every insert is audited before it is accepted: the module's
     /// placement is re-checked from first principles against a device
@@ -545,38 +572,6 @@ impl ImplementationCache {
         carried
     }
 
-    /// Persist the cached implementations as JSON. Hit/miss counters and
-    /// recency stamps are session statistics and are not stored.
-    ///
-    /// The write is atomic (temp file + rename via
-    /// [`tms_store::atomic_write`]): a crash mid-save leaves the previous
-    /// library intact instead of a truncated JSON blob. In store mode this
-    /// exports the persistent library as a plain JSON snapshot — useful
-    /// for moving a library off a store directory.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let json = match &self.store {
-            Some(store) => serde_json::to_string(&store.export()),
-            None => {
-                let entries: Vec<(&ModuleFingerprint, SealedModule)> = self
-                    .entries
-                    .iter()
-                    .map(|(k, slot)| {
-                        (
-                            k,
-                            SealedModule {
-                                digest: slot.digest,
-                                module: slot.module.clone(),
-                            },
-                        )
-                    })
-                    .collect();
-                serde_json::to_string(&entries)
-            }
-        }
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        tms_store::atomic_write(path, json.as_bytes())
-    }
-
     /// Durability barrier: in store mode, block until every insert so far
     /// is fsynced into the WAL. A no-op for purely in-memory caches.
     pub fn flush(&self) -> io::Result<()> {
@@ -584,28 +579,6 @@ impl ImplementationCache {
             Some(store) => store.flush(),
             None => Ok(()),
         }
-    }
-
-    /// Load a cache previously written by [`ImplementationCache::save`].
-    /// Entries whose sealed digest no longer matches their content — a
-    /// blob edited or damaged at rest — are skipped (counted in
-    /// [`quarantined`](ImplementationCache::quarantined)) rather than
-    /// trusted.
-    pub fn load(path: &Path) -> io::Result<ImplementationCache> {
-        let json = std::fs::read_to_string(path)?;
-        let entries: Vec<(ModuleFingerprint, SealedModule)> = serde_json::from_str(&json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut cache =
-            ImplementationCache::with_capacity(DEFAULT_CACHE_CAPACITY.max(entries.len()));
-        for (key, sealed) in entries {
-            if !sealed.is_intact() {
-                cache.verify_failures.fetch_add(1, Ordering::Relaxed);
-                cache.quarantined.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            cache.insert_memory(key, sealed);
-        }
-        Ok(cache)
     }
 }
 
@@ -645,77 +618,42 @@ pub struct CachedFlowResult {
 /// (the guided policy's predictions may change as the estimator is
 /// retrained); the stitching is always re-run, since block positions
 /// depend on the whole design.
+///
 /// Every cache hit is read-verified (digest + legality audit; see
-/// [`ImplementationCache::get_verified`]); a record failing verification
-/// is quarantined and transparently recomputed — the flow result is
-/// correct either way, corruption only costs the reuse.
+/// [`ImplementationCache::lookup`]); a record failing verification is
+/// quarantined and transparently recomputed — the flow result is correct
+/// either way, corruption only costs the reuse. Misses implement through
+/// [`ImplementationCache::implement`], so a cache armed with a fault
+/// injector retries `flow.place` faults under its retry policy, and
+/// `flow.route` is consulted before the stitch.
 pub fn run_rw_flow_cached(
     design: &CnvDesign,
     device: &Device,
     cfg: &RwFlowConfig<'_>,
     cache: &mut ImplementationCache,
 ) -> CachedFlowResult {
-    run_cached(
-        design,
-        device,
-        cfg,
-        cache,
-        true,
-        false,
-        &Resilience::default(),
-    )
+    run_cached(design, device, cfg, cache, true)
 }
 
 /// [`run_rw_flow_cached`] without read verification: hits are served
-/// as-decoded. This is the overhead baseline the `verifybench` gate
-/// measures the verified flow against; production paths use the verified
-/// variant.
+/// as-decoded. This is the reference the `bench_verify` overhead gate
+/// measures the verified flow against; production paths use
+/// [`run_rw_flow_cached`].
 pub fn run_rw_flow_cached_unverified(
     design: &CnvDesign,
     device: &Device,
     cfg: &RwFlowConfig<'_>,
     cache: &mut ImplementationCache,
 ) -> CachedFlowResult {
-    run_cached(
-        design,
-        device,
-        cfg,
-        cache,
-        false,
-        false,
-        &Resilience::default(),
-    )
+    run_cached(design, device, cfg, cache, false)
 }
 
-/// [`run_rw_flow_cached`] plus a coherence audit: every cache hit is *also*
-/// re-implemented from scratch and the two PBlocks are asserted equal.
-/// This deliberately forfeits the warm-cache speedup — it exists for tests
-/// and debugging of fingerprint collisions, not production flows.
-pub fn run_rw_flow_cached_verified(
-    design: &CnvDesign,
-    device: &Device,
-    cfg: &RwFlowConfig<'_>,
-    cache: &mut ImplementationCache,
-) -> CachedFlowResult {
-    run_cached(
-        design,
-        device,
-        cfg,
-        cache,
-        true,
-        true,
-        &Resilience::default(),
-    )
-}
-
-pub(crate) fn run_cached(
+fn run_cached(
     design: &CnvDesign,
     device: &Device,
     cfg: &RwFlowConfig<'_>,
     cache: &mut ImplementationCache,
     read_verify: bool,
-    recompute_audit: bool,
-    res: &Resilience<'_>,
 ) -> CachedFlowResult {
     debug_assert!(
         !matches!(cfg.policy, CfPolicy::Guided { .. }),
@@ -729,92 +667,51 @@ pub(crate) fn run_cached(
         Some((d, r)) => (d, Some(r.clone())),
         None => (design, None),
     };
-    // Look up every module; record hits and the indices still to implement.
+    // Look up every module; hits go straight to the stitch input, misses
+    // keep the fingerprint they were looked up under for the insert.
     let obs = cfg.obs;
     let auditor = Auditor::new(device);
-    let mut hits: HashMap<usize, ImplementedModule> = HashMap::new();
-    let mut missing: Vec<usize> = Vec::new();
-    let mut quarantined = 0u64;
+    let auditor = read_verify.then_some(&auditor);
+    let quarantined_before = cache.quarantined();
+    let mut per_module: Vec<(usize, Result<ImplementedModule, String>)> = Vec::new();
+    let mut missing: Vec<(usize, ModuleFingerprint)> = Vec::new();
     {
         let mut sp = tms_obs::span(obs, tms_obs::Phase::Cache, "lookup");
         for (idx, m) in design.modules.iter().enumerate() {
             let key = ModuleFingerprint::of(&m.netlist, device);
-            if read_verify {
-                match cache.get_verified(&key, &auditor) {
-                    VerifiedLookup::Hit(hit) => {
-                        obs.count("cache.hit", 1);
-                        hits.insert(idx, hit);
-                    }
-                    VerifiedLookup::Corrupt(_) => {
-                        // Detected corruption heals by recompute: the
-                        // module joins the miss set and its fresh result
-                        // overwrites the quarantined record below.
-                        obs.count("cache.quarantined", 1);
-                        obs.count("cache.miss", 1);
-                        quarantined += 1;
-                        missing.push(idx);
-                    }
-                    VerifiedLookup::Miss => {
-                        obs.count("cache.miss", 1);
-                        missing.push(idx);
-                    }
-                }
-            } else {
-                match cache.get(&key) {
-                    Some(hit) => {
-                        obs.count("cache.hit", 1);
-                        hits.insert(idx, hit);
-                    }
-                    None => {
-                        obs.count("cache.miss", 1);
-                        missing.push(idx);
-                    }
-                }
+            match cache.lookup(&key, auditor, obs) {
+                Some(hit) => per_module.push((idx, Ok(hit))),
+                None => missing.push((idx, key)),
             }
         }
-        sp.field("hits", hits.len() as f64);
+        sp.field("hits", per_module.len() as f64);
         sp.field("misses", missing.len() as f64);
-        sp.field("quarantined", quarantined as f64);
+        sp.field(
+            "quarantined",
+            (cache.quarantined() - quarantined_before) as f64,
+        );
     }
+    let reused = per_module.len();
 
-    // Pre-implement only the misses, in parallel; under an armed
-    // resilience bundle each module gets its own retry loop.
-    let fresh_results: Vec<(usize, Result<ImplementedModule, String>)> = missing
+    // Pre-implement only the misses, in parallel; under an armed fault
+    // injector each module gets its own retry loop.
+    let shared: &ImplementationCache = cache;
+    let fresh_results: Vec<Result<ImplementedModule, String>> = missing
         .par_iter()
-        .map(|&idx| {
+        .map(|&(idx, _)| {
             let m = &design.modules[idx];
-            (
-                idx,
-                crate::resilient::implement_module_resilient(&m.name, &m.netlist, device, cfg, res),
-            )
+            shared.implement(&m.name, &m.netlist, device, cfg)
         })
         .collect();
 
-    if recompute_audit {
-        // Audit mode: recompute every hit and check the cache told the truth.
-        for (&idx, hit) in &hits {
-            let m = &design.modules[idx];
-            let recomputed = implement_module(&m.name, &m.netlist, device, cfg)
-                .expect("cached module must still implement");
-            assert_eq!(
-                hit.pblock.rect, recomputed.pblock.rect,
-                "cache incoherence on {}",
-                m.name
-            );
-            assert_eq!(hit.cf, recomputed.cf, "cache incoherence on {}", m.name);
-        }
-    }
-
     // Account and fill the cache with the fresh implementations.
-    let reused = hits.len();
     let mut fresh = 0;
     let mut tool_runs_spent = 0;
-    for (idx, outcome) in &fresh_results {
-        match outcome {
+    for ((idx, key), outcome) in missing.into_iter().zip(fresh_results) {
+        match &outcome {
             Ok(m) => {
                 fresh += 1;
                 tool_runs_spent += m.attempts;
-                let key = ModuleFingerprint::of(&design.modules[*idx].netlist, device);
                 if cache.try_insert(key, m.clone()).is_err() {
                     // The implementation still flows into the stitch; only
                     // its persistence failed (counted in the cache's
@@ -824,16 +721,12 @@ pub(crate) fn run_cached(
             }
             Err(_) => tool_runs_spent += 1,
         }
+        per_module.push((idx, outcome));
     }
 
-    // Merge hits and fresh outcomes back into design order and stitch.
-    let mut per_module: Vec<(usize, Result<ImplementedModule, String>)> = hits
-        .into_iter()
-        .map(|(idx, m)| (idx, Ok(m)))
-        .chain(fresh_results)
-        .collect();
+    // Back into design order, then stitch.
     per_module.sort_by_key(|&(idx, _)| idx);
-    crate::resilient::absorb_route_faults(cfg, res);
+    cache.absorb_route_faults(obs);
     let mut result = stitch_implemented(design, device, cfg, per_module);
     result.pack = pack_report;
 
@@ -848,6 +741,7 @@ pub(crate) fn run_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rwflow::implement_module;
     use tms_cnn::cnvw1a1;
     use tms_pblock::CfSearch;
     use tms_place::PlacementModel;
@@ -920,24 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_roundtrips_through_disk() {
-        let design = cnvw1a1(5);
-        let dev = Device::xc7z045();
-        let mut cache = ImplementationCache::new();
-        run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
-        let path = std::env::temp_dir().join("tms_cache_roundtrip_test.json");
-        cache.save(&path).expect("save");
-        let mut restored = ImplementationCache::load(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(restored.len(), cache.len());
-        // A fresh process sees a fully warm cache.
-        let r = run_rw_flow_cached(&design, &dev, &cfg(5), &mut restored);
-        assert_eq!(r.fresh, 0);
-        assert_eq!(r.reused, 74);
-        assert_eq!(r.tool_runs_spent, 0);
-    }
-
-    #[test]
     fn cache_counters_track_lookups() {
         let cache = ImplementationCache::new();
         let design = cnvw1a1(2);
@@ -988,16 +864,28 @@ mod tests {
 
     #[test]
     fn verified_mode_audits_hits() {
+        // Coherence audit of the fingerprint: every module a warm run
+        // splices from the cache must equal a fresh implementation.
         let design = cnvw1a1(5);
         let dev = Device::xc7z045();
         let mut cache = ImplementationCache::new();
         run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
-        // Re-running in verified mode recomputes every hit and asserts
-        // coherence; same accounting as the plain warm run.
-        let audited = run_rw_flow_cached_verified(&design, &dev, &cfg(5), &mut cache);
-        assert_eq!(audited.reused, 74);
-        assert_eq!(audited.fresh, 0);
-        assert_eq!(audited.tool_runs_spent, 0);
+        let warm = run_rw_flow_cached(&design, &dev, &cfg(5), &mut cache);
+        assert_eq!(warm.reused, 74);
+        assert_eq!(warm.fresh, 0);
+        assert_eq!(warm.tool_runs_spent, 0);
+        assert_eq!(warm.result.implemented.len(), design.modules.len());
+        for (m, hit) in design.modules.iter().zip(&warm.result.implemented) {
+            let fresh = implement_module(&m.name, &m.netlist, &dev, &cfg(5))
+                .expect("cached module must still implement");
+            assert_eq!(hit.name, m.name);
+            assert_eq!(
+                hit.pblock.rect, fresh.pblock.rect,
+                "cache incoherence on {}",
+                m.name
+            );
+            assert_eq!(hit.cf, fresh.cf, "cache incoherence on {}", m.name);
+        }
     }
 
     #[test]
@@ -1083,7 +971,7 @@ mod tests {
             let key = ModuleFingerprint::of(&m.netlist, &dev);
             let implemented = donor.get(&key).expect("donor is warm");
             keys.push(key.clone());
-            cache.insert(key, implemented);
+            cache.try_insert(key, implemented).expect("legal module");
         }
         assert_eq!(cache.len(), 4, "capacity bound holds");
         // The two oldest entries were evicted, the newest four remain.
@@ -1095,7 +983,9 @@ mod tests {
         // Touching the oldest survivor protects it from the next eviction.
         assert!(cache.get(&keys[2]).is_some());
         let key6 = ModuleFingerprint::of(&design.modules[6].netlist, &dev);
-        cache.insert(key6, donor.get(&keys[5]).unwrap());
+        cache
+            .try_insert(key6, donor.get(&keys[5]).unwrap())
+            .expect("legal module");
         assert!(
             cache.get(&keys[2]).is_some(),
             "recently used entry survives"

@@ -38,16 +38,15 @@ pub mod flowbench;
 pub mod integrity;
 pub mod packbench;
 pub mod render;
-pub mod resilient;
+mod resilient;
 pub mod rwflow;
 pub mod stitchbench;
 pub mod verifybench;
 
 pub use amd::{run_amd_flow, AmdFlowConfig, AmdFlowResult};
 pub use cache::{
-    run_rw_flow_cached, run_rw_flow_cached_unverified, run_rw_flow_cached_verified,
-    CachedFlowResult, ImplementationCache, MacroStore, ModuleFingerprint, VerifiedLookup,
-    DEFAULT_CACHE_CAPACITY,
+    run_rw_flow_cached, run_rw_flow_cached_unverified, CachedFlowResult, ImplementationCache,
+    MacroStore, ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
 pub use flowbench::{
     check_flow_regression, run_flow_bench, FlowBenchConfig, FlowBenchReport, FlowSide, SweepSide,
@@ -58,7 +57,6 @@ pub use packbench::{
     PackFlowAb,
 };
 pub use render::{coverage_line, render_cost_trace, render_stitched};
-pub use resilient::{implement_module_resilient, run_rw_flow_cached_resilient, Resilience};
 pub use rwflow::{
     implement_module, run_rw_flow, stitch_implemented, CfPolicy, ImplementedModule, RwFlowConfig,
     RwFlowResult,

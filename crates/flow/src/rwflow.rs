@@ -480,13 +480,19 @@ mod tests {
         let design = cnvw1a1(1);
         let dev = Device::xc7z020();
         let sink = AggregatingSink::new();
-        let cfg = quick_cfg(CfPolicy::Constant(1.72), 1).with_recorder(&sink);
+        let cfg = RwFlowConfig {
+            mem_pack: MemPackConfig::new(tms_pack::MemPackPolicy::Naive, 1),
+            ..quick_cfg(CfPolicy::Constant(1.72), 1)
+        }
+        .with_recorder(&sink);
         let r = run_rw_flow(&design, &dev, &cfg);
         assert!(r.failed.is_empty());
         let n = design.modules.len() as u64;
-        // One span per module per phase, regardless of policy.
+        // One span per module per phase, regardless of policy; weight
+        // packing runs once for the whole design under its own label.
         assert_eq!(sink.phase_spans(Phase::Synth), n);
         assert_eq!(sink.phase_spans(Phase::Pack), n);
+        assert_eq!(sink.phase_spans(Phase::MemPack), 1);
         assert_eq!(sink.phase_spans(Phase::Place), n);
         assert_eq!(sink.phase_spans(Phase::Estimate), n);
         assert_eq!(sink.phase_spans(Phase::Stitch), 1);

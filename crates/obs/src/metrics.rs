@@ -66,13 +66,18 @@ impl Counter {
 
 /// A fixed-bucket histogram over `u64` values. Bucket `i` counts values
 /// `v <= BOUNDS[i]`; the last bound must be `u64::MAX` so every value
-/// lands somewhere.
+/// lands somewhere. The exact minimum and maximum are tracked alongside,
+/// so quantile estimates never leave the observed range.
 #[derive(Debug)]
 pub struct Histogram<const N: usize> {
     bounds: [u64; N],
     buckets: [AtomicU64; N],
     count: AtomicU64,
     sum: AtomicU64,
+    /// Smallest value observed (`u64::MAX` while empty).
+    min: AtomicU64,
+    /// Largest value observed (`0` while empty).
+    max: AtomicU64,
 }
 
 impl<const N: usize> Histogram<N> {
@@ -90,6 +95,8 @@ impl<const N: usize> Histogram<N> {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
         }
     }
 
@@ -101,6 +108,8 @@ impl<const N: usize> Histogram<N> {
     /// Record one value. A value exactly on a bound lands in that bound's
     /// bucket (bounds are inclusive).
     pub fn observe(&self, value: u64) {
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         // The last bound is u64::MAX, so the search cannot miss.
@@ -127,10 +136,23 @@ impl<const N: usize> Histogram<N> {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
-    /// Bucket-interpolated quantile estimate (see [`quantile_from_buckets`]).
-    /// `None` until at least one value was recorded.
+    /// Bucket-interpolated quantile estimate (see [`quantile_from_buckets`]),
+    /// clamped to the observed minimum and maximum: interpolation inside a
+    /// bucket must not report a value no observation reached. `None` until
+    /// at least one value was recorded.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        quantile_from_buckets(&self.bounds, &self.buckets(), q)
+        let estimate = quantile_from_buckets(&self.bounds, &self.buckets(), q)?;
+        let (lo, hi) = (
+            self.min.load(Ordering::Relaxed),
+            self.max.load(Ordering::Relaxed),
+        );
+        // A concurrent first `observe` may have bumped a bucket before
+        // `min`/`max` are visible; leave that estimate unclamped.
+        Some(if lo <= hi {
+            estimate.clamp(lo, hi)
+        } else {
+            estimate
+        })
     }
 }
 
@@ -316,8 +338,8 @@ mod tests {
         // 100 values spread uniformly across the first bucket's range
         // (bounds 0..=100): the interpolated median sits mid-bucket.
         let h = Histogram::new([100, 1_000, u64::MAX]);
-        for _ in 0..100 {
-            h.observe(50);
+        for v in 1..=100 {
+            h.observe(v);
         }
         assert_eq!(h.quantile(0.5), Some(50));
         assert_eq!(h.quantile(1.0), Some(100));
@@ -327,17 +349,57 @@ mod tests {
         for _ in 0..90 {
             h.observe(10);
         }
-        for _ in 0..10 {
-            h.observe(500);
+        for k in 1..=10 {
+            h.observe(100 + 90 * k);
         }
         assert_eq!(h.quantile(0.99), Some(910));
-        // Catch-all mass clamps to the last finite bound.
+        // Catch-all mass reads the catch-all's lower edge, raised to the
+        // observed minimum.
         let h = Histogram::new([100, u64::MAX]);
         h.observe(u64::MAX - 1);
-        assert_eq!(h.quantile(0.99), Some(100));
+        assert_eq!(h.quantile(0.99), Some(u64::MAX - 1));
+        let h = Histogram::new([100, u64::MAX]);
+        h.observe(150);
+        h.observe(u64::MAX - 1);
+        assert_eq!(h.quantile(0.5), Some(150));
         // Empty histogram has no quantiles.
         let h = Histogram::new([100, u64::MAX]);
         assert_eq!(h.quantile(0.5), None);
+    }
+
+    #[test]
+    fn a_single_observation_is_every_quantile() {
+        // One 2.28 ms span used to report p50 = 3.50 ms: the estimate
+        // interpolated halfway through the 2–5 ms bucket.
+        let h = Histogram::new(FINE_LATENCY_BUCKETS_US);
+        h.observe(2_280);
+        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+            assert_eq!(h.quantile(q), Some(2_280), "q = {q}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever the values and the quantile, the estimate lies within
+        /// the observed range.
+        #[test]
+        fn quantiles_stay_within_the_observed_range(
+            values in proptest::collection::vec(0u64..100_000_000, 1..40),
+            q in 0.0f64..1.0,
+        ) {
+            let h = Histogram::new(FINE_LATENCY_BUCKETS_US);
+            for &v in &values {
+                h.observe(v);
+            }
+            let lo = *values.iter().min().unwrap();
+            let hi = *values.iter().max().unwrap();
+            for q in [q, 1.0] {
+                let estimate = h.quantile(q).unwrap();
+                proptest::prop_assert!(
+                    lo <= estimate && estimate <= hi,
+                    "q {} of {:?} estimated {} outside [{}, {}]", q, values, estimate, lo, hi
+                );
+            }
+        }
     }
 
     #[test]

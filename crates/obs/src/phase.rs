@@ -11,6 +11,9 @@ pub enum Phase {
     Synth,
     /// Slice packing (control sets, carry shapes, M-type).
     Pack,
+    /// Memory-aware weight packing (BRAM36 / BRAM18-half / LUTRAM bins),
+    /// the `tms-pack` phase that runs before PBlock sizing.
+    MemPack,
     /// PBlock generation + detailed placement (the CF search loop).
     Place,
     /// Global routing of the stitched design.
@@ -29,9 +32,10 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 9] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Synth,
         Phase::Pack,
+        Phase::MemPack,
         Phase::Place,
         Phase::Route,
         Phase::Stitch,
@@ -47,6 +51,7 @@ impl Phase {
         match self {
             Phase::Synth => "synth",
             Phase::Pack => "pack",
+            Phase::MemPack => "mempack",
             Phase::Place => "place",
             Phase::Route => "route",
             Phase::Stitch => "stitch",

@@ -185,7 +185,7 @@ pub fn pack_design(
     if problem.memories().is_empty() {
         return None;
     }
-    let mut sp = span(obs, Phase::Pack, "mempack");
+    let mut sp = span(obs, Phase::MemPack, "mempack");
     let naive = problem.naive_solution();
     let (solution, search) = match cfg.policy {
         MemPackPolicy::Off => unreachable!("handled above"),
@@ -483,7 +483,12 @@ mod tests {
         let dev = Device::xc7z020();
         let sink = AggregatingSink::new();
         let (_, report) = pack_design(&d, &dev, &quick(MemPackPolicy::Packed, 1), &sink).unwrap();
-        assert_eq!(sink.phase_spans(Phase::Pack), 1);
+        assert_eq!(sink.phase_spans(Phase::MemPack), 1);
+        assert_eq!(
+            sink.phase_spans(Phase::Pack),
+            0,
+            "slice packing is not this phase"
+        );
         assert_eq!(sink.counter("pack.runs"), 1);
         assert_eq!(sink.counter("pack.bram36_saved"), report.bram36_saved);
         assert_eq!(sink.counter("pack.bins.bram36"), report.banks_bram36);

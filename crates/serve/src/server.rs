@@ -61,9 +61,8 @@ use tms_device::Device;
 use tms_estimator::{CfEstimator, FeatureSet, ModuleFeatures};
 use tms_fault::{FaultInjector, FaultPlan, FaultPoint, Retry};
 use tms_flow::{
-    implement_module_resilient, run_rw_flow_cached_resilient, CfPolicy, ImplementationCache,
-    MacroStore, ModuleFingerprint, Resilience, RwFlowConfig, StoreAuditor, VerifiedLookup,
-    DEFAULT_CACHE_CAPACITY,
+    run_rw_flow_cached, CfPolicy, ImplementationCache, MacroStore, ModuleFingerprint, RwFlowConfig,
+    StoreAuditor, DEFAULT_CACHE_CAPACITY,
 };
 use tms_netlist::NetlistStats;
 use tms_obs::prometheus::PromText;
@@ -119,18 +118,14 @@ pub struct ServeConfig {
     /// `0` disables degradation.
     pub degrade_after: u32,
     /// Retry policy for store writes and (when a fault plan is armed)
-    /// per-module implementation attempts.
+    /// per-module implementation attempts; the server arms its
+    /// implementation cache with it.
     pub retry: Retry,
     /// Deterministic fault plan consulted at the `serve.*` points and
-    /// handed to the store and flow layers. `None` (the default) serves
+    /// handed to the store and the implementation cache (which consults
+    /// it at `cache.*` and `flow.*`). `None` (the default) serves
     /// fault-free with near-zero overhead.
     pub fault: Option<Arc<FaultPlan>>,
-    /// When set, flow requests stitch with the multi-lane search
-    /// portfolio instead of the single-run fast anneal; the portfolio's
-    /// `search.*` counters land in `/metrics` alongside the `stitch.*`
-    /// family. The per-request seed still wins: the configured portfolio
-    /// is re-seeded with each request's design seed.
-    pub stitch_portfolio: Option<tms_search::PortfolioConfig>,
     /// Ring capacity of the tail-sampling slowlog: how many full request
     /// span trees are retained for the `slowlog` endpoint.
     pub slowlog_capacity: usize,
@@ -167,7 +162,6 @@ impl Default for ServeConfig {
             degrade_after: 3,
             retry: Retry::default(),
             fault: None,
-            stitch_portfolio: None,
             slowlog_capacity: 64,
             slow_threshold: Duration::from_secs(1),
             slos: default_slos(),
@@ -210,12 +204,6 @@ impl ServeConfig {
         self
     }
 
-    /// Stitch flow requests with the multi-lane search portfolio.
-    pub fn with_portfolio(mut self, portfolio: tms_search::PortfolioConfig) -> Self {
-        self.stitch_portfolio = Some(portfolio);
-        self
-    }
-
     /// Run a background scrub pass over the persistent library every
     /// `interval`, paced at `bytes_per_sec` (`0` = unthrottled).
     pub fn with_scrub(mut self, interval: Duration, bytes_per_sec: u64) -> Self {
@@ -240,7 +228,6 @@ struct Limits {
     max_line_bytes: usize,
     request_deadline: Duration,
     degrade_after: u32,
-    retry: Retry,
 }
 
 /// Process-wide state shared by every worker.
@@ -260,7 +247,6 @@ struct ServerState {
     started: Instant,
     limits: Limits,
     fault: Option<Arc<FaultPlan>>,
-    portfolio: Option<tms_search::PortfolioConfig>,
     robust: Robust,
     /// Trace-id source for per-request [`RequestCtx`]s.
     traces: TraceIdGen,
@@ -276,19 +262,6 @@ impl ServerState {
     /// The persistent store behind the cache, when running in store mode.
     fn store(&self) -> Option<Arc<MacroStore>> {
         self.cache.read().store().cloned()
-    }
-
-    /// The fault injector to consult — the armed plan, or the no-op.
-    fn injector(&self) -> &dyn FaultInjector {
-        match &self.fault {
-            Some(plan) => plan.as_ref(),
-            None => tms_fault::noop(),
-        }
-    }
-
-    /// The resilience bundle handed to the flow layer.
-    fn resilience(&self) -> Resilience<'_> {
-        Resilience::new(self.injector(), self.limits.retry)
     }
 
     /// The SLO tracker covering `endpoint`, if one was configured.
@@ -447,8 +420,9 @@ pub fn serve(
     };
     let mut cache = cache.with_retry(config.retry);
     if let Some(plan) = &config.fault {
-        // Arm the `cache.corrupt_macro` point: verified reads consult the
-        // plan and must catch whatever it flips.
+        // Arm the cache's fault points: verified reads must catch whatever
+        // `cache.corrupt_macro` flips, and flows and preimpls retry
+        // `flow.place`/`flow.route` faults under `config.retry`.
         cache = cache.with_fault(Arc::clone(plan) as Arc<dyn FaultInjector>);
     }
     let state = Arc::new(ServerState {
@@ -464,10 +438,8 @@ pub fn serve(
             max_line_bytes: config.max_line_bytes.max(1),
             request_deadline: config.request_deadline,
             degrade_after: config.degrade_after,
-            retry: config.retry,
         },
         fault: config.fault.clone(),
-        portfolio: config.stitch_portfolio.clone(),
         robust: Robust {
             degraded: AtomicBool::new(degraded_at_open),
             ..Robust::default()
@@ -897,28 +869,14 @@ fn parse<T: Deserialize>(v: &Value) -> Result<T, String> {
     T::from_value(v).map_err(|e| format!("bad payload: {e}"))
 }
 
-fn device_by_name(name: &str) -> Result<Device, String> {
-    match name {
-        "xc7z010" => Ok(Device::xc7z010()),
-        "xc7z020" => Ok(Device::xc7z020()),
-        "xc7z030" => Ok(Device::xc7z030()),
-        "xc7z045" => Ok(Device::xc7z045()),
-        "xc7z100" => Ok(Device::xc7z100()),
-        "ultrascale-like" => Ok(Device::ultrascale_like()),
-        other => Err(format!("unknown device '{other}'")),
-    }
-}
-
 /// The per-request flow configuration: constant CF when given, minimal-CF
-/// search otherwise. The stitcher runs its fast schedule — this is an
-/// interactive service, not the benchmark harness — unless the server was
-/// configured with a search portfolio, which is then re-seeded with the
+/// search otherwise. The stitcher runs its fast single-run schedule — this
+/// is an interactive service, not the benchmark harness — seeded with the
 /// request's seed so replies stay a pure function of the request. Pipeline
 /// telemetry lands in `obs` (the server passes its shared sink).
 fn flow_config<'a>(
     cf: Option<f64>,
     seed: u64,
-    portfolio: Option<&tms_search::PortfolioConfig>,
     mem_pack: tms_flow::MemPackConfig,
     obs: &'a dyn Recorder,
 ) -> RwFlowConfig<'a> {
@@ -930,7 +888,7 @@ fn flow_config<'a>(
         use_shape_report: true,
         model: PlacementModel::default(),
         stitch: StitchConfig::fast(seed),
-        portfolio: portfolio.map(|p| tms_search::PortfolioConfig { seed, ..p.clone() }),
+        portfolio: None,
         mem_pack,
         seed,
         obs,
@@ -1017,34 +975,23 @@ fn do_preimpl(
     start: &Instant,
     obs: &RequestRecorder<'_>,
 ) -> Result<PreimplResponse, String> {
-    let device = device_by_name(&req.device)?;
+    let device = Device::from_name(req.device.parse()?);
     let spec = req.spec;
     let netlist = tms_cnn::synth_module(spec.role, spec.target_slices, &spec.name, spec.seed);
     let key = ModuleFingerprint::of(&netlist, &device);
-    // Fast path: concurrent lookups share the read lock. Every hit is
-    // read-verified (digest + legality audit); a corrupt record is
-    // quarantined and transparently recomputed below, exactly like a miss.
-    let auditor = Auditor::new(&device);
-    let hit = state.cache.read().get_verified(&key, &auditor);
-    let (module, cached) = match hit {
-        VerifiedLookup::Hit(m) => {
-            obs.count("cache.hit", 1);
-            (m, true)
-        }
-        corrupt_or_miss => {
-            if matches!(corrupt_or_miss, VerifiedLookup::Corrupt(_)) {
-                obs.count("cache.quarantined", 1);
-            }
-            obs.count("cache.miss", 1);
-            let cfg = flow_config(
-                req.cf,
-                spec.seed,
-                state.portfolio.as_ref(),
-                tms_flow::MemPackConfig::off(),
-                obs,
-            );
-            let res = state.resilience();
-            let m = implement_module_resilient(&spec.name, &netlist, &device, &cfg, &res)?;
+    // Concurrent preimpls share the read lock. Every hit is read-verified
+    // (digest + legality audit); a corrupt record is quarantined and
+    // recomputed below, exactly like a miss. A miss implements under the
+    // same read lock so the cache's fault plan and retry policy apply; the
+    // write lock is only taken for the insert.
+    let cache = state.cache.read();
+    let (module, cached) = match cache.lookup(&key, Some(&Auditor::new(&device)), obs) {
+        Some(m) => (m, true),
+        None => {
+            let cfg = flow_config(req.cf, spec.seed, tms_flow::MemPackConfig::off(), obs);
+            let implemented = cache.implement(&spec.name, &netlist, &device, &cfg);
+            drop(cache);
+            let m = implemented?;
             // A failed (already-retried) store put is not the client's
             // problem: the implementation is still returned, the failure
             // feeds the degrade decision. The insert runs under a Store
@@ -1080,22 +1027,15 @@ fn do_flow(
     start: &Instant,
     obs: &RequestRecorder<'_>,
 ) -> Result<FlowResponse, String> {
-    let device = device_by_name(&req.device)?;
+    let device = Device::from_name(req.device.parse()?);
     let design = cnvw1a1(req.design_seed);
     let mem_pack = mem_pack_config(req.mem_pack.as_deref(), req.design_seed)?;
-    let cfg = flow_config(
-        req.cf,
-        req.design_seed,
-        state.portfolio.as_ref(),
-        mem_pack,
-        obs,
-    );
-    let res = state.resilience();
+    let cfg = flow_config(req.cf, req.design_seed, mem_pack, obs);
     // The whole cached run holds the write lock: it both reads and fills
     // the cache, and its parallel section uses rayon, not the pool.
     let mut cache = state.cache.write();
     let failures_before = cache.store_put_failures();
-    let r = run_rw_flow_cached_resilient(&design, &device, &cfg, &mut cache, &res);
+    let r = run_rw_flow_cached(&design, &device, &cfg, &mut cache);
     // The write lock was held across the run, so any new put failures
     // belong to this request: book them on its trace for classification.
     let failures_during = cache.store_put_failures().saturating_sub(failures_before);

@@ -37,7 +37,7 @@
 //!
 //! options:
 //!   --device <xc7z010|xc7z020|xc7z030|xc7z045|xc7z100|ultrascale-like>
-//!                                                        (default xc7z045)
+//!                        (default xc7z045; any other name exits with 2)
 //!   --estimator <rf|dt|nn|lin>                           (default rf)
 //!   --features <classical|classical+|additional|all>     (default additional)
 //!   --dataset <N>        training sweep size              (default 600)
@@ -146,7 +146,7 @@
 
 use std::collections::HashMap;
 use tailored_macro_sizes::cnn::{cnvw1a1, ModuleRole};
-use tailored_macro_sizes::device::Device;
+use tailored_macro_sizes::device::{Device, DeviceName};
 use tailored_macro_sizes::estimator::{CfEstimator, EstimatorKind, FeatureSet};
 use tailored_macro_sizes::flow::experiments::common::Scale;
 use tailored_macro_sizes::flow::{coverage_line, render_cost_trace, render_stitched};
@@ -175,17 +175,17 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
     (positional, flags)
 }
 
+/// The `--device` flag (default xc7z045); an unknown name exits with
+/// status 2 rather than silently compiling for another part.
 fn device_of(flags: &HashMap<String, String>) -> Device {
-    match flags.get("device").map(String::as_str) {
-        Some("xc7z010") => Device::xc7z010(),
-        Some("xc7z020") => Device::xc7z020(),
-        Some("xc7z030") => Device::xc7z030(),
-        Some("xc7z100") => Device::xc7z100(),
-        Some("ultrascale-like") => Device::ultrascale_like(),
-        Some("xc7z045") | None => Device::xc7z045(),
-        Some(other) => {
-            eprintln!("unknown device '{other}', using xc7z045");
-            Device::xc7z045()
+    match flags
+        .get("device")
+        .map_or(Ok(DeviceName::Xc7z045), |s| s.parse())
+    {
+        Ok(name) => Device::from_name(name),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
     }
 }
