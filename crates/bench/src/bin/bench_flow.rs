@@ -1,13 +1,11 @@
 //! `bench_flow` — emit and gate the canonical flow benchmark snapshot.
 //!
-//! Runs the incremental-engine-versus-reference minimal-CF benchmark
-//! ([`tms_core::flow::run_flow_bench`]): the wide labelling sweep over
-//! every unique cnvW1A1 module on both search implementations (verified
-//! bit-for-bit against each other), plus the end-to-end flow A/B. Writes
-//! the `BENCH_flow.json` report. With `--check <snapshot>` it compares
-//! the fresh run against the committed snapshot and exits non-zero when a
+//! Runs the minimal-CF benchmark ([`tms_bench::flowbench`]): the wide
+//! labelling sweep over every unique cnvW1A1 module on the incremental
+//! search engine, plus the end-to-end flow. Writes the `BENCH_flow.json`
+//! report. With `--check <snapshot>` it exits non-zero when a
 //! machine-independent metric (attempt counts, prescreen ratio, labelled
-//! counts, bit-identity) regressed beyond the tolerance, or when the
+//! and implemented counts) regressed beyond the tolerance, or when the
 //! snapshot fails to parse.
 //!
 //! ```text
@@ -16,143 +14,39 @@
 //! ```
 
 use std::process::ExitCode;
-use tms_core::flow::{check_flow_regression, run_flow_bench, FlowBenchConfig, FlowBenchReport};
-
-struct Args {
-    quick: bool,
-    seed: u64,
-    out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        seed: 1,
-        out: None,
-        check: None,
-        tolerance: 0.2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--full" => args.quick = false,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--check" => args.check = Some(value("--check")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_flow [--quick|--full] [--seed N] [--out PATH] \
-                     [--check SNAPSHOT] [--tolerance F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
+use tms_bench::flowbench::{run_flow_bench, FlowBenchConfig};
+use tms_bench::gate::run_bench;
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_flow: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let cfg = if args.quick {
-        FlowBenchConfig::quick(args.seed)
-    } else {
-        FlowBenchConfig::canonical(args.seed)
-    };
-    eprintln!(
-        "bench_flow: wide minimal-CF sweep + end-to-end flow on cnvW1A1 (seed {}, {} rep{})",
-        cfg.seed,
-        cfg.reps,
-        if cfg.reps == 1 { "" } else { "s" },
-    );
-    let report = run_flow_bench(&cfg);
-    eprintln!(
-        "bench_flow: sweep reference {:.0}ms vs engine {:.0}ms | speedup {:.2}x | identical {} | prescreened {} ({:.1}% of attempts)",
-        report.sweep_reference.wall_ms,
-        report.sweep_engine.wall_ms,
-        report.sweep_speedup,
-        report.sweep_identical,
-        report.prescreened,
-        report.prescreen_ratio * 100.0,
-    );
-    eprintln!(
-        "bench_flow: flow reference {:.0}ms vs engine {:.0}ms | speedup {:.2}x | implemented {}/{}",
-        report.flow_reference.wall_ms,
-        report.flow_engine.wall_ms,
-        report.flow_speedup,
-        report.flow_engine.implemented,
-        report.modules,
-    );
-
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench_flow: serialising report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("bench_flow: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench_flow: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-
-    if !report.sweep_identical {
-        eprintln!("bench_flow: FATAL: engine sweep diverged from the reference sweep");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(snapshot_path) = &args.check {
-        let raw = match std::fs::read_to_string(snapshot_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_flow: reading snapshot {snapshot_path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    run_bench("bench_flow", |args| {
+        let cfg = if args.quick {
+            FlowBenchConfig::quick(args.seed)
+        } else {
+            FlowBenchConfig::canonical(args.seed)
         };
-        let snapshot: FlowBenchReport = match serde_json::from_str(&raw) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_flow: snapshot {snapshot_path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = check_flow_regression(&snapshot, &report, args.tolerance);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("bench_flow: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
         eprintln!(
-            "bench_flow: no regression against {snapshot_path} (tolerance {:.0}%)",
-            args.tolerance * 100.0
+            "bench_flow: wide minimal-CF sweep + end-to-end flow on cnvW1A1 (seed {}, {} rep{})",
+            cfg.seed,
+            cfg.reps,
+            if cfg.reps == 1 { "" } else { "s" },
         );
-    }
-    ExitCode::SUCCESS
+        let report = run_flow_bench(&cfg);
+        eprintln!(
+            "bench_flow: sweep {:.1}ms | {} attempts, prescreened {} ({:.1}%) | labelled {}/{}",
+            report.sweep_engine.wall_ms,
+            report.sweep_engine.tool_runs + report.sweep_engine.wasted_runs,
+            report.prescreened,
+            report.prescreen_ratio * 100.0,
+            report.sweep_engine.labelled,
+            report.modules,
+        );
+        eprintln!(
+            "bench_flow: flow {:.1}ms | implemented {}/{} | {} tool runs",
+            report.flow_engine.wall_ms,
+            report.flow_engine.implemented,
+            report.modules,
+            report.flow_engine.tool_runs,
+        );
+        Ok(report)
+    })
 }

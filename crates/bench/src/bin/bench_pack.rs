@@ -1,11 +1,10 @@
 //! `bench_pack` — emit and gate the memory-packing benchmark snapshot.
 //!
-//! Runs the packing benchmark ([`tms_core::flow::run_pack_bench`]): the
+//! Runs the packing benchmark ([`tms_bench::packbench`]): the
 //! naive-versus-packed footprint sweep over cnvW1A1 and the zoo on both
 //! device presets, plus the cnvW1A1/xc7z020 flow A/B (placement counts
 //! and minimal-PBlock shrinkage). Writes the `BENCH_pack.json` report.
-//! With `--check <snapshot>` it compares the fresh run against the
-//! committed snapshot and exits non-zero when a machine-independent
+//! With `--check <snapshot>` it exits non-zero when a machine-independent
 //! metric (BRAM36 savings, feasibility, placement counts, PBlock areas)
 //! regressed beyond the tolerance; wall-clock fields are never gated.
 //!
@@ -15,144 +14,46 @@
 //! ```
 
 use std::process::ExitCode;
-use tms_core::flow::{check_pack_regression, run_pack_bench, PackBenchConfig, PackBenchReport};
-
-struct Args {
-    quick: bool,
-    seed: u64,
-    out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        seed: 1,
-        out: None,
-        check: None,
-        tolerance: 0.2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--full" => args.quick = false,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--check" => args.check = Some(value("--check")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_pack [--quick|--full] [--seed N] [--out PATH] \
-                     [--check SNAPSHOT] [--tolerance F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
+use tms_bench::gate::run_bench;
+use tms_bench::packbench::{run_pack_bench, PackBenchConfig};
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_pack: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let cfg = if args.quick {
-        PackBenchConfig::quick(args.seed)
-    } else {
-        PackBenchConfig::canonical(args.seed)
-    };
-    eprintln!(
-        "bench_pack: footprint sweep + flow A/B (seed {}, {} rounds x {} moves)",
-        cfg.seed, cfg.rounds, cfg.moves_per_round,
-    );
-    let report = run_pack_bench(&cfg);
-    for row in &report.rows {
+    run_bench("bench_pack", |args| {
+        let cfg = if args.quick {
+            PackBenchConfig::quick(args.seed)
+        } else {
+            PackBenchConfig::canonical(args.seed)
+        };
         eprintln!(
-            "bench_pack: {:<9} on {:<15} BRAM36 {:>4} -> {:>3} of {:>3} ({} saved, {} LUTRAM LUTs) in {:.1}ms",
-            row.design,
-            row.device,
-            row.naive_bram36,
-            row.packed_bram36,
-            row.budget_bram36,
-            row.bram36_saved,
-            row.lutram_luts,
-            row.wall_ms,
+            "bench_pack: footprint sweep + flow A/B (seed {}, {} rounds x {} moves)",
+            cfg.seed, cfg.rounds, cfg.moves_per_round,
         );
-    }
-    eprintln!(
-        "bench_pack: flow A/B on {}/{}: placed {} -> {} of {}, {} weights classes shrank \
-         (area {} -> {})",
-        report.flow_design,
-        report.flow_device,
-        report.flow.naive_placed,
-        report.flow.packed_placed,
-        report.flow.packed_placed + report.flow.packed_unplaced,
-        report.flow.smaller_pblocks,
-        report.flow.naive_weights_area,
-        report.flow.packed_weights_area,
-    );
-
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench_pack: serialising report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("bench_pack: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench_pack: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-
-    if let Some(snapshot_path) = &args.check {
-        let raw = match std::fs::read_to_string(snapshot_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_pack: reading snapshot {snapshot_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snapshot: PackBenchReport = match serde_json::from_str(&raw) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_pack: snapshot {snapshot_path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = check_pack_regression(&snapshot, &report, args.tolerance);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("bench_pack: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
+        let report = run_pack_bench(&cfg);
+        for row in &report.rows {
+            eprintln!(
+                "bench_pack: {:<9} on {:<15} BRAM36 {:>4} -> {:>3} of {:>3} ({} saved, {} LUTRAM LUTs) in {:.1}ms",
+                row.design,
+                row.device,
+                row.naive_bram36,
+                row.packed_bram36,
+                row.budget_bram36,
+                row.bram36_saved,
+                row.lutram_luts,
+                row.wall_ms,
+            );
         }
         eprintln!(
-            "bench_pack: no regression against {snapshot_path} (tolerance {:.0}%)",
-            args.tolerance * 100.0
+            "bench_pack: flow A/B on {}/{}: placed {} -> {} of {}, {} weights classes shrank \
+             (area {} -> {})",
+            report.flow_design,
+            report.flow_device,
+            report.flow.naive_placed,
+            report.flow.packed_placed,
+            report.flow.packed_placed + report.flow.packed_unplaced,
+            report.flow.smaller_pblocks,
+            report.flow.naive_weights_area,
+            report.flow.packed_weights_area,
         );
-    }
-    ExitCode::SUCCESS
+        Ok(report)
+    })
 }

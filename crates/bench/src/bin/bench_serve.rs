@@ -1,15 +1,13 @@
 //! `bench_serve` — emit and gate the serving-layer loadgen snapshot.
 //!
-//! Boots an in-process server (tiny deterministic estimator, no store),
-//! drives it with the seed-derived closed-loop request mix of
-//! [`tms_core::serve::loadgen`], and writes the `BENCH_serve.json`
-//! report: per-endpoint request/error counts with bucket-interpolated
-//! p50/p99/p999 latencies, plus the server's shed / deadline / slowlog
-//! totals. With `--check <snapshot>` the fresh run is compared against
-//! the committed snapshot and the exit code is non-zero when a
-//! **machine-independent** metric (request totals, error counts, slowlog
-//! retention) drifted beyond the tolerance — latency and wall-clock are
-//! reported but never gated.
+//! Runs the loadgen benchmark ([`tms_bench::servebench`]): an in-process
+//! server driven by the seed-derived closed-loop request mix. Writes the
+//! `BENCH_serve.json` report: per-endpoint request/error counts with
+//! bucket-interpolated p50/p99/p999 latencies, plus the server's shed /
+//! deadline / slowlog totals. With `--check <snapshot>` it exits non-zero
+//! when a **machine-independent** metric (request totals, error counts,
+//! slowlog retention) drifted beyond the tolerance — latency and
+//! wall-clock are reported but never gated.
 //!
 //! ```text
 //! bench_serve [--quick|--full] [--seed N] [--out PATH]
@@ -17,176 +15,28 @@
 //! ```
 
 use std::process::ExitCode;
-use std::time::Duration;
-use tms_core::estimator::{CfEstimator, EstimatorKind, FeatureSet};
-use tms_core::ml::Dataset;
-use tms_core::serve::loadgen::{check_serve_regression, run_loadgen, LoadgenConfig};
-use tms_core::serve::{serve, ServeBenchReport, ServeConfig};
-
-struct Args {
-    quick: bool,
-    seed: u64,
-    out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        seed: 1,
-        out: None,
-        check: None,
-        tolerance: 0.2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--full" => args.quick = false,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--check" => args.check = Some(value("--check")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_serve [--quick|--full] [--seed N] [--out PATH] \
-                     [--check SNAPSHOT] [--tolerance F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
-
-/// A quickly-trained linear estimator — the loadgen cares that replies are
-/// deterministic, not that the model is good.
-fn tiny_estimator() -> CfEstimator {
-    let mut state: u64 = 0x243F_6A88_85A3_08D3;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let xs: Vec<Vec<f64>> = (0..200).map(|_| (0..6).map(|_| next()).collect()).collect();
-    let ys: Vec<f64> = xs.iter().map(|x| 0.9 + 0.5 * x[0] + 0.2 * x[3]).collect();
-    let names = (0..6).map(|i| format!("f{i}")).collect();
-    let ds = Dataset::new(names, xs, ys);
-    CfEstimator::train_small(EstimatorKind::LinearRegression, &ds, 1)
-}
+use tms_bench::gate::run_bench;
+use tms_bench::servebench::run_serve_bench;
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let (clients, requests_per_client, workers) =
-        if args.quick { (4, 25, 8) } else { (8, 100, 12) };
-
-    // A slow-threshold far beyond any request keeps slowlog retention a
-    // pure function of request *outcomes* (errors), machine-independent.
-    let config = ServeConfig {
-        workers,
-        slow_threshold: Duration::from_secs(3600),
-        ..ServeConfig::default()
-    };
-    let handle = match serve(config, tiny_estimator(), FeatureSet::Additional) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("bench_serve: binding the in-process server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "bench_serve: closed-loop mix on {} ({clients} clients x {requests_per_client} requests, seed {})",
-        handle.addr(),
-        args.seed,
-    );
-    let load = LoadgenConfig::closed(handle.addr(), clients, requests_per_client, args.seed);
-    let report = match run_loadgen(&load) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_serve: loadgen failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    handle.stop();
-
-    eprintln!(
-        "bench_serve: {} requests, {} errors, {:.0}ms wall | slowlog retained {}/{} considered",
-        report.requests_total,
-        report.errors_total,
-        report.wall_ms,
-        report.server.slowlog_retained,
-        report.server.slowlog_considered,
-    );
-    for e in &report.endpoints {
+    run_bench("bench_serve", |args| {
+        eprintln!("bench_serve: closed-loop mix (seed {})", args.seed);
+        let report = run_serve_bench(args.seed, args.quick)?;
         eprintln!(
-            "bench_serve:   {:<9} {:>5} req {:>3} err | p50 {:>7}us p99 {:>7}us p999 {:>7}us",
-            e.endpoint, e.requests, e.errors, e.p50_us, e.p99_us, e.p999_us,
+            "bench_serve: {} clients x {} requests, {} errors, {:.0}ms wall | slowlog retained {}/{} considered",
+            report.clients,
+            report.requests_per_client,
+            report.errors_total,
+            report.wall_ms,
+            report.server.slowlog_retained,
+            report.server.slowlog_considered,
         );
-    }
-
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench_serve: serialising report failed: {e}");
-            return ExitCode::FAILURE;
+        for e in &report.endpoints {
+            eprintln!(
+                "bench_serve:   {:<9} {:>5} req {:>3} err | p50 {:>7}us p99 {:>7}us p999 {:>7}us",
+                e.endpoint, e.requests, e.errors, e.p50_us, e.p99_us, e.p999_us,
+            );
         }
-    };
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("bench_serve: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench_serve: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-
-    if let Some(snapshot_path) = &args.check {
-        let raw = match std::fs::read_to_string(snapshot_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_serve: reading snapshot {snapshot_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snapshot: ServeBenchReport = match serde_json::from_str(&raw) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_serve: snapshot {snapshot_path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = check_serve_regression(&snapshot, &report, args.tolerance);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("bench_serve: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "bench_serve: no regression against {snapshot_path} (tolerance {:.0}%)",
-            args.tolerance * 100.0
-        );
-    }
-    ExitCode::SUCCESS
+        Ok(report)
+    })
 }

@@ -1,11 +1,11 @@
 //! `bench_stitch` — emit and gate the canonical stitch benchmark snapshot.
 //!
 //! Runs the portfolio-versus-single-run stitch benchmark
-//! ([`tms_core::flow::run_stitch_bench`]) on cnvW1A1 and writes the
-//! `BENCH_stitch.json` report. With `--check <snapshot>` it compares the
-//! fresh run against the committed snapshot and exits non-zero when a
-//! tracked (machine-independent) metric regressed beyond the tolerance,
-//! or when the snapshot fails to parse.
+//! ([`tms_bench::stitchbench`]) on cnvW1A1 and writes the
+//! `BENCH_stitch.json` report. With `--check <snapshot>` it exits non-zero
+//! when a machine-independent metric (HPWL, placed counts, portfolio
+//! moves) regressed beyond the tolerance, or when the snapshot fails to
+//! parse. The wall-clock speedup is printed and recorded, never gated.
 //!
 //! ```text
 //! bench_stitch [--quick|--full] [--seed N] [--out PATH]
@@ -13,132 +13,35 @@
 //! ```
 
 use std::process::ExitCode;
-use tms_core::flow::{check_regression, run_stitch_bench, StitchBenchConfig, StitchBenchReport};
-
-struct Args {
-    quick: bool,
-    seed: u64,
-    out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        seed: 1,
-        out: None,
-        check: None,
-        tolerance: 0.2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--full" => args.quick = false,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--check" => args.check = Some(value("--check")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_stitch [--quick|--full] [--seed N] [--out PATH] \
-                     [--check SNAPSHOT] [--tolerance F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
+use tms_bench::gate::run_bench;
+use tms_bench::stitchbench::{run_stitch_bench, StitchBenchConfig};
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_stitch: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let cfg = if args.quick {
-        StitchBenchConfig::quick(args.seed)
-    } else {
-        StitchBenchConfig::canonical(args.seed)
-    };
-    eprintln!(
-        "bench_stitch: stitching cnvW1A1 (seed {}, {} rep{}), baseline {} moves vs portfolio {} lanes",
-        cfg.seed,
-        cfg.reps,
-        if cfg.reps == 1 { "" } else { "s" },
-        cfg.baseline.max_moves,
-        cfg.portfolio.sa_lanes + cfg.portfolio.ea_lanes,
-    );
-    let report = run_stitch_bench(&cfg);
-    eprintln!(
-        "bench_stitch: baseline {:.0}ms hpwl {:.0} | portfolio {:.0}ms hpwl {:.0} | speedup {:.2}x ratio {:.3}",
-        report.baseline.wall_ms,
-        report.baseline.hpwl,
-        report.portfolio.wall_ms,
-        report.portfolio.hpwl,
-        report.speedup,
-        report.hpwl_ratio,
-    );
-
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench_stitch: serialising report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("bench_stitch: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench_stitch: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-
-    if let Some(snapshot_path) = &args.check {
-        let raw = match std::fs::read_to_string(snapshot_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_stitch: reading snapshot {snapshot_path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    run_bench("bench_stitch", |args| {
+        let cfg = if args.quick {
+            StitchBenchConfig::quick(args.seed)
+        } else {
+            StitchBenchConfig::canonical(args.seed)
         };
-        let snapshot: StitchBenchReport = match serde_json::from_str(&raw) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_stitch: snapshot {snapshot_path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = check_regression(&snapshot, &report, args.tolerance);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("bench_stitch: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
         eprintln!(
-            "bench_stitch: no regression against {snapshot_path} (tolerance {:.0}%)",
-            args.tolerance * 100.0
+            "bench_stitch: stitching cnvW1A1 (seed {}, {} rep{}), baseline {} moves vs portfolio {} lanes",
+            cfg.seed,
+            cfg.reps,
+            if cfg.reps == 1 { "" } else { "s" },
+            cfg.baseline.max_moves,
+            cfg.portfolio.sa_lanes + cfg.portfolio.ea_lanes,
         );
-    }
-    ExitCode::SUCCESS
+        let report = run_stitch_bench(&cfg);
+        eprintln!(
+            "bench_stitch: baseline {:.0}ms hpwl {:.0} | portfolio {:.0}ms hpwl {:.0} {} moves | speedup {:.2}x ratio {:.3}",
+            report.baseline.wall_ms,
+            report.baseline.hpwl,
+            report.portfolio.wall_ms,
+            report.portfolio.hpwl,
+            report.portfolio.moves,
+            report.speedup,
+            report.hpwl_ratio,
+        );
+        Ok(report)
+    })
 }

@@ -1,14 +1,14 @@
 //! `bench_verify` — emit and gate the integrity-verification snapshot.
 //!
-//! Runs the integrity benchmark ([`tms_core::flow::run_verify_bench`]):
-//! the verified-versus-unverified warm-read overhead on a cnvW1A1 cache,
-//! the seeded-corruption detection rate, and the clean-read false-positive
+//! Runs the integrity benchmark ([`tms_bench::verifybench`]): the
+//! verified-versus-unverified warm-read overhead on a cnvW1A1 cache, the
+//! seeded-corruption detection rate, and the clean-read false-positive
 //! count. Writes the `BENCH_verify.json` report. With `--check <snapshot>`
-//! it compares the fresh run against the committed snapshot and exits
-//! non-zero when an integrity invariant breaks (any injected corruption
-//! undetected, any false positive, any quarantined record not healed by
-//! recompute) or the hot-path overhead exceeds the 2% budget scaled by
-//! the tolerance; absolute wall-clock is recorded but never gated.
+//! it exits non-zero when an integrity invariant breaks (any injected
+//! corruption undetected, any false positive, any quarantined record not
+//! healed by recompute) or the hot-path overhead exceeds the 2% budget
+//! scaled by the tolerance; absolute wall-clock is recorded but never
+//! gated.
 //!
 //! ```text
 //! bench_verify [--quick|--full] [--seed N] [--out PATH]
@@ -16,140 +16,39 @@
 //! ```
 
 use std::process::ExitCode;
-use tms_core::flow::{
-    check_verify_regression, run_verify_bench, VerifyBenchConfig, VerifyBenchReport,
-    OVERHEAD_BUDGET,
-};
-
-struct Args {
-    quick: bool,
-    seed: u64,
-    out: Option<String>,
-    check: Option<String>,
-    tolerance: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        seed: 1,
-        out: None,
-        check: None,
-        tolerance: 0.2,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} expects a value"));
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--full" => args.quick = false,
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--out" => args.out = Some(value("--out")?),
-            "--check" => args.check = Some(value("--check")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("bad --tolerance: {e}"))?;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "bench_verify [--quick|--full] [--seed N] [--out PATH] \
-                     [--check SNAPSHOT] [--tolerance F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
+use tms_bench::gate::run_bench;
+use tms_bench::verifybench::{run_verify_bench, VerifyBenchConfig, OVERHEAD_BUDGET};
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("bench_verify: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let cfg = if args.quick {
-        VerifyBenchConfig::quick(args.seed)
-    } else {
-        VerifyBenchConfig::canonical(args.seed)
-    };
-    eprintln!(
-        "bench_verify: integrity benchmark (seed {}, {} reps, {} corruptions)",
-        cfg.seed, cfg.reps, cfg.corruptions,
-    );
-    let report = run_verify_bench(&cfg);
-    eprintln!(
-        "bench_verify: warm {} modules: unverified {:.1}ms, verified {:.1}ms \
-         ({:.2}% overhead, budget {:.0}%)",
-        report.modules,
-        report.warm_unverified_ms,
-        report.warm_verified_ms,
-        report.overhead_frac * 100.0,
-        OVERHEAD_BUDGET * 100.0,
-    );
-    eprintln!(
-        "bench_verify: {} clean reads, {} false positives | {} corruptions injected, \
-         {} detected, {} healed by recompute",
-        report.clean_reads,
-        report.false_positives,
-        report.corruption_injected,
-        report.corruption_detected,
-        report.recomputed,
-    );
-
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench_verify: serialising report failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("bench_verify: writing {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("bench_verify: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-
-    if let Some(snapshot_path) = &args.check {
-        let raw = match std::fs::read_to_string(snapshot_path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("bench_verify: reading snapshot {snapshot_path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    run_bench("bench_verify", |args| {
+        let cfg = if args.quick {
+            VerifyBenchConfig::quick(args.seed)
+        } else {
+            VerifyBenchConfig::canonical(args.seed)
         };
-        let snapshot: VerifyBenchReport = match serde_json::from_str(&raw) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bench_verify: snapshot {snapshot_path} is malformed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let violations = check_verify_regression(&snapshot, &report, args.tolerance);
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("bench_verify: REGRESSION: {v}");
-            }
-            return ExitCode::FAILURE;
-        }
         eprintln!(
-            "bench_verify: no regression against {snapshot_path} (tolerance {:.0}%)",
-            args.tolerance * 100.0
+            "bench_verify: integrity benchmark (seed {}, {} reps, {} corruptions)",
+            cfg.seed, cfg.reps, cfg.corruptions,
         );
-    }
-    ExitCode::SUCCESS
+        let report = run_verify_bench(&cfg);
+        eprintln!(
+            "bench_verify: warm {} modules: unverified {:.1}ms, verified {:.1}ms \
+             ({:.2}% overhead, budget {:.0}%)",
+            report.modules,
+            report.warm_unverified_ms,
+            report.warm_verified_ms,
+            report.overhead_frac * 100.0,
+            OVERHEAD_BUDGET * 100.0,
+        );
+        eprintln!(
+            "bench_verify: {} clean reads, {} false positives | {} corruptions injected, \
+             {} detected, {} healed by recompute",
+            report.clean_reads,
+            report.false_positives,
+            report.corruption_injected,
+            report.corruption_detected,
+            report.recomputed,
+        );
+        Ok(report)
+    })
 }

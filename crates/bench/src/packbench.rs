@@ -11,18 +11,18 @@
 //!    weights classes whose minimal PBlock shrank strictly.
 //!
 //! Every count in the report is a pure function of the seed; wall-clock
-//! fields are machine-dependent and never gated by
-//! [`check_pack_regression`].
+//! fields are machine-dependent and never gated by the report's
+//! [`Snapshot`] gate.
 
-use tms_cnn::{cnvw1a1, zoo_design, zoo_names, CnvDesign};
-use tms_device::Device;
-use tms_obs::noop;
-use tms_pack::{pack_design, MemPackConfig, MemPackPolicy};
-use tms_pblock::CfSearch;
-use tms_place::PlacementModel;
-use tms_stitch::StitchConfig;
-
-use crate::rwflow::{run_rw_flow, CfPolicy, RwFlowConfig, RwFlowResult};
+use crate::gate::{Gate, Snapshot};
+use tms_core::cnn::{cnvw1a1, zoo_design, zoo_names, CnvDesign};
+use tms_core::device::Device;
+use tms_core::flow::{run_rw_flow, CfPolicy, RwFlowConfig, RwFlowResult};
+use tms_core::obs::noop;
+use tms_core::pack::{pack_design, MemPackConfig, MemPackPolicy};
+use tms_core::pblock::CfSearch;
+use tms_core::place::PlacementModel;
+use tms_core::stitch::StitchConfig;
 
 /// Schema version of [`PackBenchReport`]; bump on any layout change so a
 /// stale committed snapshot fails loudly instead of mis-comparing.
@@ -235,102 +235,94 @@ pub fn run_pack_bench(cfg: &PackBenchConfig) -> PackBenchReport {
     }
 }
 
-/// Compare a fresh run against the committed snapshot. Only
-/// machine-independent metrics are gated: schema and sweep shape exactly,
-/// savings and placement within `tolerance`, feasibility must not flip
-/// off. Wall-clock fields are never compared.
-pub fn check_pack_regression(
-    old: &PackBenchReport,
-    new: &PackBenchReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    if new.schema != old.schema {
-        violations.push(format!(
-            "schema changed: snapshot {} vs current {} — regenerate the snapshot",
-            old.schema, new.schema
-        ));
-        return violations;
+/// Only machine-independent metrics are gated: the sweep shape and demand
+/// model exactly, savings and placement within the tolerance, and
+/// feasibility must not flip off. Wall-clock fields are never compared.
+impl Snapshot for PackBenchReport {
+    fn schema(&self) -> String {
+        self.schema.to_string()
     }
-    let worse = 1.0 + tolerance;
-    if new.rows.len() != old.rows.len() {
-        violations.push(format!(
-            "sweep shape changed: {} rows vs snapshot {}",
-            new.rows.len(),
-            old.rows.len()
-        ));
-        return violations;
-    }
-    for (o, n) in old.rows.iter().zip(&new.rows) {
-        let at = format!("{}/{}", n.design, n.device);
-        if n.design != o.design || n.device != o.device {
-            violations.push(format!(
-                "sweep order changed at {at}: snapshot has {}/{}",
-                o.design, o.device
-            ));
-            continue;
+
+    fn compare(&self, old: &Self, gate: &mut Gate) {
+        let same_shape = self.rows.len() == old.rows.len();
+        gate.require(same_shape, || {
+            format!(
+                "sweep shape changed: {} rows vs snapshot {}",
+                self.rows.len(),
+                old.rows.len()
+            )
+        });
+        if !same_shape {
+            return;
         }
-        if n.modules != o.modules || n.naive_bram36 != o.naive_bram36 {
-            violations.push(format!(
-                "{at}: demand model drifted (modules {} vs {}, naive BRAM36 {} vs {}) — \
-                 regenerate the snapshot",
-                n.modules, o.modules, n.naive_bram36, o.naive_bram36
-            ));
+        for (o, n) in old.rows.iter().zip(&self.rows) {
+            let at = format!("{}/{}", n.design, n.device);
+            let same_point = n.design == o.design && n.device == o.device;
+            gate.require(same_point, || {
+                format!(
+                    "sweep order changed at {at}: snapshot has {}/{}",
+                    o.design, o.device
+                )
+            });
+            if !same_point {
+                continue;
+            }
+            gate.require(
+                n.modules == o.modules && n.naive_bram36 == o.naive_bram36,
+                || {
+                    format!(
+                        "{at}: demand model drifted (modules {} vs {}, naive BRAM36 {} vs {}) — \
+                         regenerate the snapshot",
+                        n.modules, o.modules, n.naive_bram36, o.naive_bram36
+                    )
+                },
+            );
+            gate.require(!o.feasible || n.feasible, || {
+                format!("{at}: packed assignment no longer fits the device")
+            });
+            gate.no_higher(
+                &format!("{at}: packed BRAM36 demand"),
+                n.packed_bram36 as f64,
+                o.packed_bram36 as f64,
+            );
+            gate.no_lower(
+                &format!("{at}: BRAM36 savings"),
+                n.bram36_saved as f64,
+                o.bram36_saved as f64,
+            );
         }
-        if o.feasible && !n.feasible {
-            violations.push(format!("{at}: packed assignment no longer fits the device"));
-        }
-        if (n.packed_bram36 as f64) > o.packed_bram36 as f64 * worse {
-            violations.push(format!(
-                "{at}: packed BRAM36 demand regressed: {} vs snapshot {} (>{:.0}%)",
-                n.packed_bram36,
-                o.packed_bram36,
-                tolerance * 100.0
-            ));
-        }
-        if (n.bram36_saved as f64) < o.bram36_saved as f64 / worse {
-            violations.push(format!(
-                "{at}: BRAM36 savings regressed: {} vs snapshot {} (>{:.0}%)",
-                n.bram36_saved,
-                o.bram36_saved,
-                tolerance * 100.0
-            ));
-        }
+        gate.require(self.flow.packed_placed >= self.flow.naive_placed, || {
+            format!(
+                "packed flow places fewer blocks than naive: {} vs {}",
+                self.flow.packed_placed, self.flow.naive_placed
+            )
+        });
+        gate.no_lower(
+            "packed flow placement",
+            self.flow.packed_placed as f64,
+            old.flow.packed_placed as f64,
+        );
+        gate.require(
+            self.flow.smaller_pblocks >= old.flow.smaller_pblocks,
+            || {
+                format!(
+                    "fewer weights classes shrank their minimal PBlock: {} vs snapshot {}",
+                    self.flow.smaller_pblocks, old.flow.smaller_pblocks
+                )
+            },
+        );
+        gate.no_higher(
+            "packed weights PBlock area",
+            self.flow.packed_weights_area as f64,
+            old.flow.packed_weights_area as f64,
+        );
     }
-    if new.flow.packed_placed < new.flow.naive_placed {
-        violations.push(format!(
-            "packed flow places fewer blocks than naive: {} vs {}",
-            new.flow.packed_placed, new.flow.naive_placed
-        ));
-    }
-    if (new.flow.packed_placed as f64) < old.flow.packed_placed as f64 / worse {
-        violations.push(format!(
-            "packed flow placement regressed: {} vs snapshot {} (>{:.0}%)",
-            new.flow.packed_placed,
-            old.flow.packed_placed,
-            tolerance * 100.0
-        ));
-    }
-    if new.flow.smaller_pblocks < old.flow.smaller_pblocks {
-        violations.push(format!(
-            "fewer weights classes shrank their minimal PBlock: {} vs snapshot {}",
-            new.flow.smaller_pblocks, old.flow.smaller_pblocks
-        ));
-    }
-    if (new.flow.packed_weights_area as f64) > old.flow.packed_weights_area as f64 * worse {
-        violations.push(format!(
-            "packed weights PBlock area regressed: {} vs snapshot {} (>{:.0}%)",
-            new.flow.packed_weights_area,
-            old.flow.packed_weights_area,
-            tolerance * 100.0
-        ));
-    }
-    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::check;
 
     #[test]
     fn quick_bench_is_deterministic_and_self_consistent() {
@@ -352,7 +344,7 @@ mod tests {
         assert!(a.flow.smaller_pblocks > 0);
         // Same seed, same counts — the regression gate relies on it.
         let b = run_pack_bench(&PackBenchConfig::quick(1));
-        assert!(check_pack_regression(&a, &b, 0.0).is_empty());
+        assert!(check(&a, &b, 0.0).is_empty());
     }
 
     #[test]
@@ -363,12 +355,12 @@ mod tests {
         worse.rows[0].bram36_saved = 0;
         worse.flow.packed_placed = base.flow.naive_placed.saturating_sub(1);
         worse.flow.smaller_pblocks = 0;
-        let violations = check_pack_regression(&base, &worse, 0.2);
+        let violations = check(&base, &worse, 0.2);
         assert!(violations.len() >= 4, "violations: {violations:?}");
         // Schema drift short-circuits with a regenerate hint.
         let mut drifted = base.clone();
         drifted.schema += 1;
-        let v = check_pack_regression(&base, &drifted, 0.2);
+        let v = check(&base, &drifted, 0.2);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("regenerate"));
     }

@@ -7,16 +7,19 @@
 //! and with the multi-lane search portfolio. The [`StitchBenchReport`] it
 //! returns serialises to the committed `BENCH_stitch.json` snapshot.
 //!
-//! [`check_regression`] gates CI on the *machine-independent* metrics —
-//! wirelength, placed counts, and the speedup *ratio* — never on absolute
-//! wall-clock, so the committed snapshot stays valid across hardware.
+//! Its [`Snapshot`] gate compares only *machine-independent* metrics —
+//! wirelength, placed counts, and the portfolio's move count, the work
+//! it does — never wall-clock or the wall-clock speedup, so the committed
+//! snapshot stays valid across hardware.
 
-use crate::rwflow::{run_rw_flow, CfPolicy, RwFlowConfig};
-use tms_cnn::cnvw1a1;
-use tms_device::Device;
-use tms_place::PlacementModel;
-use tms_search::{EaParams, LaneKind, PortfolioConfig, SaParams};
-use tms_stitch::{stitch, stitch_portfolio, StitchConfig, StitchProblem};
+use crate::gate::{Gate, Snapshot};
+use crate::timed;
+use tms_core::cnn::cnvw1a1;
+use tms_core::device::Device;
+use tms_core::flow::{run_rw_flow, CfPolicy, RwFlowConfig};
+use tms_core::place::PlacementModel;
+use tms_core::search::{EaParams, LaneKind, PortfolioConfig, SaParams};
+use tms_core::stitch::{stitch, stitch_portfolio, StitchConfig, StitchProblem};
 
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
@@ -106,7 +109,7 @@ pub struct StitchBenchReport {
     pub baseline: RunStats,
     /// The search portfolio.
     pub portfolio: RunStats,
-    /// `baseline.wall_ms / portfolio.wall_ms`.
+    /// `baseline.wall_ms / portfolio.wall_ms` (recorded, never gated).
     pub speedup: f64,
     /// `portfolio.hpwl / baseline.hpwl` (≤ 1 means equal or better).
     pub hpwl_ratio: f64,
@@ -135,16 +138,11 @@ pub fn bench_problem(device: &Device, seed: u64) -> StitchProblem {
         // keeps problem construction cheap; the contenders re-stitch.
         stitch: StitchConfig::fast(seed),
         portfolio: None,
-        mem_pack: tms_pack::MemPackConfig::off(),
+        mem_pack: tms_core::pack::MemPackConfig::off(),
         seed,
-        obs: tms_obs::noop(),
+        obs: tms_core::obs::noop(),
     };
     run_rw_flow(&design, device, &cfg).problem
-}
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Run both contenders on the shared problem and build the report.
@@ -155,37 +153,20 @@ pub fn run_stitch_bench(cfg: &StitchBenchConfig) -> StitchBenchReport {
     // compare placements of different subsets.
     let device = Device::xc7z045();
     let problem = bench_problem(&device, cfg.seed);
-    let reps = cfg.reps.max(1);
-
-    let mut baseline_walls = Vec::new();
-    let mut baseline = None;
-    for _ in 0..reps {
-        let started = std::time::Instant::now();
-        let r = stitch(&device, &problem, &cfg.baseline);
-        baseline_walls.push(started.elapsed().as_secs_f64() * 1e3);
-        baseline = Some(r);
-    }
-    let baseline = baseline.expect("reps >= 1");
-
-    let mut portfolio_walls = Vec::new();
-    let mut portfolio = None;
-    for _ in 0..reps {
-        let started = std::time::Instant::now();
-        let r = stitch_portfolio(&device, &problem, &cfg.portfolio);
-        portfolio_walls.push(started.elapsed().as_secs_f64() * 1e3);
-        portfolio = Some(r);
-    }
-    let (presult, preport) = portfolio.expect("reps >= 1");
+    let (baseline, baseline_ms) = timed(cfg.reps, || stitch(&device, &problem, &cfg.baseline));
+    let ((presult, preport), portfolio_ms) = timed(cfg.reps, || {
+        stitch_portfolio(&device, &problem, &cfg.portfolio)
+    });
 
     let baseline_stats = RunStats {
-        wall_ms: median_ms(baseline_walls),
+        wall_ms: baseline_ms,
         hpwl: baseline.final_cost,
         placed: baseline.placed_count as u64,
         unplaced: baseline.unplaced_count as u64,
         moves: baseline.total_moves,
     };
     let portfolio_stats = RunStats {
-        wall_ms: median_ms(portfolio_walls),
+        wall_ms: portfolio_ms,
         hpwl: presult.final_cost,
         placed: presult.placed_count as u64,
         unplaced: presult.unplaced_count as u64,
@@ -218,66 +199,37 @@ pub fn run_stitch_bench(cfg: &StitchBenchConfig) -> StitchBenchReport {
     }
 }
 
-/// Compare a fresh report against the committed snapshot. Returns one
-/// violation message per tracked metric that regressed beyond
-/// `tolerance` (e.g. `0.2` = 20%). Only machine-independent metrics are
-/// gated; absolute wall-clock is recorded but never compared.
-pub fn check_regression(
-    old: &StitchBenchReport,
-    new: &StitchBenchReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    if new.schema != old.schema {
-        violations.push(format!(
-            "schema changed: snapshot {} vs current {} — regenerate the snapshot",
-            old.schema, new.schema
-        ));
-        return violations;
+impl Snapshot for StitchBenchReport {
+    fn schema(&self) -> String {
+        self.schema.to_string()
     }
-    let worse = 1.0 + tolerance;
-    if new.portfolio.hpwl > old.portfolio.hpwl * worse {
-        violations.push(format!(
-            "portfolio HPWL regressed: {:.1} vs snapshot {:.1} (>{:.0}%)",
-            new.portfolio.hpwl,
-            old.portfolio.hpwl,
-            tolerance * 100.0
-        ));
+
+    fn compare(&self, old: &Self, gate: &mut Gate) {
+        gate.no_higher("portfolio HPWL", self.portfolio.hpwl, old.portfolio.hpwl);
+        gate.no_higher("baseline HPWL", self.baseline.hpwl, old.baseline.hpwl);
+        gate.require(self.portfolio.placed >= old.portfolio.placed, || {
+            format!(
+                "portfolio placed fewer blocks: {} vs snapshot {}",
+                self.portfolio.placed, old.portfolio.placed
+            )
+        });
+        gate.no_higher(
+            "portfolio moves",
+            self.portfolio.moves as f64,
+            old.portfolio.moves as f64,
+        );
+        gate.no_higher(
+            "portfolio/baseline HPWL ratio",
+            self.hpwl_ratio,
+            old.hpwl_ratio,
+        );
     }
-    if new.baseline.hpwl > old.baseline.hpwl * worse {
-        violations.push(format!(
-            "baseline HPWL regressed: {:.1} vs snapshot {:.1} (>{:.0}%)",
-            new.baseline.hpwl,
-            old.baseline.hpwl,
-            tolerance * 100.0
-        ));
-    }
-    if new.portfolio.placed < old.portfolio.placed {
-        violations.push(format!(
-            "portfolio placed fewer blocks: {} vs snapshot {}",
-            new.portfolio.placed, old.portfolio.placed
-        ));
-    }
-    if new.speedup < old.speedup / worse {
-        violations.push(format!(
-            "speedup regressed: {:.2}x vs snapshot {:.2}x (>{:.0}%)",
-            new.speedup,
-            old.speedup,
-            tolerance * 100.0
-        ));
-    }
-    if new.hpwl_ratio > old.hpwl_ratio * worse {
-        violations.push(format!(
-            "portfolio/baseline HPWL ratio regressed: {:.3} vs snapshot {:.3}",
-            new.hpwl_ratio, old.hpwl_ratio
-        ));
-    }
-    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::check;
 
     fn tiny_cfg() -> StitchBenchConfig {
         // Small budgets: these tests check plumbing, not the headline
@@ -311,7 +263,7 @@ mod tests {
     #[test]
     fn identical_reports_pass_the_gate() {
         let report = run_stitch_bench(&tiny_cfg());
-        assert!(check_regression(&report, &report, 0.2).is_empty());
+        assert!(check(&report, &report, 0.2).is_empty());
     }
 
     #[test]
@@ -319,16 +271,17 @@ mod tests {
         let old = run_stitch_bench(&tiny_cfg());
         let mut bad = old.clone();
         bad.portfolio.hpwl = old.portfolio.hpwl * 1.5;
-        bad.speedup = old.speedup / 2.0;
+        bad.portfolio.moves = old.portfolio.moves * 2;
         bad.portfolio.placed = old.portfolio.placed.saturating_sub(1);
         bad.hpwl_ratio = old.hpwl_ratio * 1.5;
-        let violations = check_regression(&old, &bad, 0.2);
+        let violations = check(&old, &bad, 0.2);
         assert_eq!(violations.len(), 4, "{violations:?}");
-        // Wall-clock alone is never gated.
+        // Wall-clock, and the wall-clock speedup, alone are never gated.
         let mut slow = old.clone();
         slow.baseline.wall_ms *= 10.0;
         slow.portfolio.wall_ms *= 10.0;
-        assert!(check_regression(&old, &slow, 0.2).is_empty());
+        slow.speedup = old.speedup / 2.0;
+        assert!(check(&old, &slow, 0.2).is_empty());
     }
 
     #[test]
@@ -336,7 +289,7 @@ mod tests {
         let old = run_stitch_bench(&tiny_cfg());
         let mut newer = old.clone();
         newer.schema += 1;
-        let violations = check_regression(&old, &newer, 0.2);
+        let violations = check(&old, &newer, 0.2);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("schema"));
     }

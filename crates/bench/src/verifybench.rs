@@ -6,11 +6,11 @@
 //! 1. **Hot-path overhead** — the warm cached flow with read verification
 //!    (full digest + legality check on first materialization, memoized
 //!    digest lookup on later hits — the production default of
-//!    [`crate::run_rw_flow_cached`]) against the unverified baseline
-//!    ([`crate::run_rw_flow_cached_unverified`]). The committed gate
+//!    [`run_rw_flow_cached`]) against the unverified baseline
+//!    ([`run_rw_flow_cached_unverified`]). The committed gate
 //!    requires the median overhead to stay under
 //!    [`OVERHEAD_BUDGET`] (2%).
-//! 2. **Detection rate** — a [`tms_fault::FaultPlan`] arms the
+//! 2. **Detection rate** — a [`FaultPlan`] arms the
 //!    `cache.corrupt_macro` point to bit-flip served records; every
 //!    injected corruption must be caught and quarantined, and the flow
 //!    must still produce a correct result by recomputing the victims.
@@ -20,19 +20,22 @@
 //!    exactly zero.
 //!
 //! The [`VerifyBenchReport`] serialises to the committed
-//! `BENCH_verify.json` snapshot; [`check_verify_regression`] gates CI on
-//! the detection/false-positive invariants (exact) and the overhead
-//! fraction (tolerance-scaled) — never on absolute wall-clock.
+//! `BENCH_verify.json` snapshot; its [`Snapshot`] gate checks the
+//! detection/false-positive invariants (exact) and the overhead fraction
+//! (tolerance-scaled) — never absolute wall-clock.
 
-use crate::cache::{run_rw_flow_cached, run_rw_flow_cached_unverified, ImplementationCache};
-use crate::rwflow::{CfPolicy, RwFlowConfig};
+use crate::gate::{Gate, Snapshot};
+use crate::median_ms;
 use std::sync::Arc;
-use tms_cnn::cnvw1a1;
-use tms_device::Device;
-use tms_fault::{FaultPlan, FaultPoint};
-use tms_pblock::CfSearch;
-use tms_place::PlacementModel;
-use tms_stitch::StitchConfig;
+use tms_core::cnn::cnvw1a1;
+use tms_core::device::Device;
+use tms_core::fault::{FaultPlan, FaultPoint};
+use tms_core::flow::{
+    run_rw_flow_cached, run_rw_flow_cached_unverified, CfPolicy, ImplementationCache, RwFlowConfig,
+};
+use tms_core::pblock::CfSearch;
+use tms_core::place::PlacementModel;
+use tms_core::stitch::StitchConfig;
 
 /// The hot-path budget: verified warm reads may cost at most this
 /// fraction over the unverified baseline.
@@ -110,15 +113,10 @@ fn bench_cfg(seed: u64) -> RwFlowConfig<'static> {
         model: PlacementModel::default(),
         stitch: StitchConfig::fast(seed),
         portfolio: None,
-        mem_pack: tms_pack::MemPackConfig::off(),
-        obs: tms_obs::noop(),
+        mem_pack: tms_core::pack::MemPackConfig::off(),
+        obs: tms_core::obs::noop(),
         seed,
     }
-}
-
-fn median_ms(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Run the three measurements and build the report.
@@ -178,66 +176,56 @@ pub fn run_verify_bench(cfg: &VerifyBenchConfig) -> VerifyBenchReport {
     }
 }
 
-/// Compare a fresh report against the committed snapshot. The integrity
-/// invariants are exact — every injected corruption detected, zero false
-/// positives, nothing recomputed beyond the victims — and the hot-path
-/// overhead must stay under [`OVERHEAD_BUDGET`] scaled by `tolerance`
-/// (e.g. `0.2` = 20% headroom for machine noise). Absolute wall-clock is
-/// recorded but never compared.
-pub fn check_verify_regression(
-    old: &VerifyBenchReport,
-    new: &VerifyBenchReport,
-    tolerance: f64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    if new.schema != old.schema {
-        violations.push(format!(
-            "schema changed: snapshot {} vs current {} — regenerate the snapshot",
-            old.schema, new.schema
-        ));
-        return violations;
+/// The integrity invariants are exact — every injected corruption
+/// detected, zero false positives, nothing recomputed beyond the victims
+/// — and the hot-path overhead must stay under [`OVERHEAD_BUDGET`] scaled
+/// by the tolerance (e.g. `0.2` = 20% headroom for machine noise).
+/// Absolute wall-clock is recorded but never compared.
+impl Snapshot for VerifyBenchReport {
+    fn schema(&self) -> String {
+        self.schema.to_string()
     }
-    if new.modules != old.modules {
-        violations.push(format!(
-            "module count changed: {} vs snapshot {}",
-            new.modules, old.modules
-        ));
+
+    fn compare(&self, old: &Self, gate: &mut Gate) {
+        gate.require(self.modules == old.modules, || {
+            format!(
+                "module count changed: {} vs snapshot {}",
+                self.modules, old.modules
+            )
+        });
+        gate.require(self.corruption_detected == self.corruption_injected, || {
+            format!(
+                "detection rate below 100%: {} of {} injected corruptions caught",
+                self.corruption_detected, self.corruption_injected
+            )
+        });
+        gate.require(self.corruption_injected != 0, || {
+            "no corruption was injected — detection unproven".to_string()
+        });
+        gate.require(self.false_positives == 0, || {
+            format!(
+                "{} false positives across {} clean verified reads",
+                self.false_positives, self.clean_reads
+            )
+        });
+        gate.require(self.recomputed == self.corruption_detected, || {
+            format!(
+                "healing recomputed {} modules for {} quarantined records",
+                self.recomputed, self.corruption_detected
+            )
+        });
+        gate.no_higher(
+            "verified-read overhead over its budget",
+            self.overhead_frac,
+            OVERHEAD_BUDGET,
+        );
     }
-    if new.corruption_detected != new.corruption_injected {
-        violations.push(format!(
-            "detection rate below 100%: {} of {} injected corruptions caught",
-            new.corruption_detected, new.corruption_injected
-        ));
-    }
-    if new.corruption_injected == 0 {
-        violations.push("no corruption was injected — detection unproven".to_string());
-    }
-    if new.false_positives != 0 {
-        violations.push(format!(
-            "{} false positives across {} clean verified reads",
-            new.false_positives, new.clean_reads
-        ));
-    }
-    if new.recomputed != new.corruption_detected {
-        violations.push(format!(
-            "healing recomputed {} modules for {} quarantined records",
-            new.recomputed, new.corruption_detected
-        ));
-    }
-    let budget = OVERHEAD_BUDGET * (1.0 + tolerance);
-    if new.overhead_frac > budget {
-        violations.push(format!(
-            "verified-read overhead {:.2}% exceeds budget {:.2}%",
-            new.overhead_frac * 100.0,
-            budget * 100.0
-        ));
-    }
-    violations
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::check;
 
     #[test]
     fn report_roundtrips_and_passes_its_own_gate() {
@@ -261,16 +249,16 @@ mod tests {
         // every integrity violation.
         let mut calm = report.clone();
         calm.overhead_frac = 0.0;
-        assert!(check_verify_regression(&report, &calm, 0.2).is_empty());
+        assert!(check(&report, &calm, 0.2).is_empty());
         let mut bad = calm.clone();
         bad.corruption_detected -= 1;
         bad.false_positives = 2;
         bad.recomputed = 0;
-        let violations = check_verify_regression(&report, &bad, 0.2);
+        let violations = check(&report, &bad, 0.2);
         assert_eq!(violations.len(), 3, "{violations:?}");
         let mut over = calm.clone();
         over.overhead_frac = 0.5;
-        let violations = check_verify_regression(&report, &over, 0.2);
+        let violations = check(&report, &over, 0.2);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].contains("overhead"));
     }

@@ -311,7 +311,8 @@ impl ImplementationCache {
     /// set lookup. This is the same trust model as block-storage
     /// checksumming — verify what crossed the persistence boundary, not
     /// every page-cache hit — and it is what keeps the verified hot path
-    /// inside the `verifybench` 2% overhead budget.
+    /// inside the 2% overhead budget that `bench_verify` (in `tms-bench`)
+    /// gates.
     ///
     /// When a [`FaultInjector`](ImplementationCache::with_fault) is armed,
     /// the `cache.corrupt_macro` point bit-flips the record on its way out

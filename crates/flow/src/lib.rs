@@ -34,39 +34,20 @@
 pub mod amd;
 pub mod cache;
 pub mod experiments;
-pub mod flowbench;
 pub mod integrity;
-pub mod packbench;
 pub mod render;
 mod resilient;
 pub mod rwflow;
-pub mod stitchbench;
-pub mod verifybench;
 
 pub use amd::{run_amd_flow, AmdFlowConfig, AmdFlowResult};
 pub use cache::{
     run_rw_flow_cached, run_rw_flow_cached_unverified, CachedFlowResult, ImplementationCache,
     MacroStore, ModuleFingerprint, VerifiedLookup, DEFAULT_CACHE_CAPACITY,
 };
-pub use flowbench::{
-    check_flow_regression, run_flow_bench, FlowBenchConfig, FlowBenchReport, FlowSide, SweepSide,
-};
 pub use integrity::{audit_module, module_digest, verify_sealed, SealedModule, StoreAuditor};
-pub use packbench::{
-    check_pack_regression, run_pack_bench, PackBenchConfig, PackBenchReport, PackBenchRow,
-    PackFlowAb,
-};
 pub use render::{coverage_line, render_cost_trace, render_stitched};
 pub use rwflow::{
     implement_module, run_rw_flow, stitch_implemented, CfPolicy, ImplementedModule, RwFlowConfig,
     RwFlowResult,
 };
-pub use stitchbench::{
-    bench_problem, check_regression, run_stitch_bench, RunStats, StitchBenchConfig,
-    StitchBenchReport,
-};
 pub use tms_pack::{MemPackConfig, MemPackPolicy, PackReport};
-pub use verifybench::{
-    check_verify_regression, run_verify_bench, VerifyBenchConfig, VerifyBenchReport,
-    OVERHEAD_BUDGET,
-};

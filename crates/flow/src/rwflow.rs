@@ -6,8 +6,7 @@ use tms_device::Device;
 use tms_obs::{noop, span, Phase, Recorder};
 use tms_pack::{pack_design, MemPackConfig, PackReport};
 use tms_pblock::{
-    guided_search_observed, min_feasible_cf_observed, min_feasible_cf_reference_observed, CfSearch,
-    PBlock, PBlockGenerator,
+    guided_search_observed, min_feasible_cf_observed, CfSearch, PBlock, PBlockGenerator,
 };
 use tms_place::{detail::module_key, place_in_region, quick_place, Placement, PlacementModel};
 use tms_search::PortfolioConfig;
@@ -24,11 +23,6 @@ pub enum CfPolicy<'a> {
     Constant(f64),
     /// Search the minimal feasible CF per module (the labelling procedure).
     Minimal(CfSearch),
-    /// The same search on the pre-engine reference implementation
-    /// (regenerate + full placement per attempt). Identical results to
-    /// [`CfPolicy::Minimal`]; kept for A/B benchmarking and equivalence
-    /// regression tests.
-    MinimalReference(CfSearch),
     /// Estimator-guided (Section VIII): predict, then recover from
     /// underestimates with +0.1 coarse steps and a 0.02 refinement.
     Guided {
@@ -224,11 +218,6 @@ fn implement_with(
             }
         }
         CfPolicy::Minimal(search) => min_feasible_cf_observed(
-            gen, &stats, &packing, &shape, &cfg.model, search, key, obs, name,
-        )
-        .map(|r| (r.cf, r.pblock, r.placement, r.attempts, r.attempts == 1))
-        .ok_or_else(|| "no feasible CF".to_string()),
-        CfPolicy::MinimalReference(search) => min_feasible_cf_reference_observed(
             gen, &stats, &packing, &shape, &cfg.model, search, key, obs, name,
         )
         .map(|r| (r.cf, r.pblock, r.placement, r.attempts, r.attempts == 1))

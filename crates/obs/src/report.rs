@@ -18,24 +18,51 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
+/// Length of the union of `(start, end)` intervals.
+fn union_us(mut intervals: Vec<(u64, u64)>) -> u64 {
+    intervals.sort_unstable();
+    let (mut covered, mut reach) = (0, 0);
+    for (start, end) in intervals {
+        if end > reach {
+            covered += end - start.max(reach);
+            reach = end;
+        }
+    }
+    covered
+}
+
 /// Render a parsed trace as a human-readable report: one row per phase
-/// with span count, total time, share of all span time and a flame-style
-/// bar, followed by the trace's counters and observations.
+/// with span count, total time, two shares and a flame-style bar,
+/// followed by the trace's counters and observations.
+///
+/// `wall%` is the wall-clock the phase was active — the union of its span
+/// intervals — over the trace extent (first span start to last span end);
+/// the flame bar follows it. `cpu%` is the phase's summed span time over
+/// all span time, so concurrent spans (the parallel module stage) count
+/// once per thread.
 pub fn render(events: &[TraceEvent]) -> String {
     let sink = AggregatingSink::new();
     replay(events, &sink);
     let total_us = sink.total_us().max(1);
 
-    // Per-phase duration histograms for interpolated quantiles.
+    // Per-phase duration histograms for interpolated quantiles, and
+    // per-phase span intervals for the wall-clock share.
     let durations: Vec<Histogram<{ FINE_LATENCY_BUCKETS_US.len() }>> = Phase::ALL
         .iter()
         .map(|_| Histogram::new(FINE_LATENCY_BUCKETS_US))
         .collect();
+    let mut intervals = vec![Vec::new(); Phase::ALL.len()];
+    let (mut first, mut last) = (u64::MAX, 0);
     for event in events {
         if let TraceEvent::Span(s) = event {
             durations[s.phase.index()].observe(s.duration_us);
+            let end = s.start_us + s.duration_us;
+            intervals[s.phase.index()].push((s.start_us, end));
+            first = first.min(s.start_us);
+            last = last.max(end);
         }
     }
+    let extent_us = last.saturating_sub(first).max(1);
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -47,8 +74,8 @@ pub fn render(events: &[TraceEvent]) -> String {
             .count()
     ));
     out.push_str(&format!(
-        "{:<10} {:>8} {:>10} {:>7} {:>9} {:>9} {:>9}  {}\n",
-        "phase", "spans", "total", "share", "p50", "p99", "p999", "flame"
+        "{:<10} {:>8} {:>10} {:>7} {:>7} {:>9} {:>9} {:>9}  {}\n",
+        "phase", "spans", "total", "wall%", "cpu%", "p50", "p99", "p999", "flame"
     ));
     for phase in Phase::ALL {
         let spans = sink.phase_spans(phase);
@@ -56,16 +83,19 @@ pub fn render(events: &[TraceEvent]) -> String {
             continue;
         }
         let us = sink.phase_total_us(phase);
-        let share = us as f64 / total_us as f64;
-        let filled = ((share * BAR_WIDTH as f64).round() as usize).min(BAR_WIDTH);
+        let wall =
+            union_us(std::mem::take(&mut intervals[phase.index()])) as f64 / extent_us as f64;
+        let cpu = us as f64 / total_us as f64;
+        let filled = ((wall * BAR_WIDTH as f64).round() as usize).min(BAR_WIDTH);
         let h = &durations[phase.index()];
         let q = |q: f64| fmt_us(h.quantile(q).unwrap_or(0));
         out.push_str(&format!(
-            "{:<10} {:>8} {:>10} {:>6.1}% {:>9} {:>9} {:>9}  {}{}\n",
+            "{:<10} {:>8} {:>10} {:>6.1}% {:>6.1}% {:>9} {:>9} {:>9}  {}{}\n",
             phase.label(),
             spans,
             fmt_us(us),
-            share * 100.0,
+            wall * 100.0,
+            cpu * 100.0,
             q(0.50),
             q(0.99),
             q(0.999),
@@ -100,14 +130,52 @@ mod tests {
     use crate::record::SpanRecord;
 
     fn span_event(phase: Phase, us: u64) -> TraceEvent {
+        span_at(phase, 0, us)
+    }
+
+    fn span_at(phase: Phase, start_us: u64, duration_us: u64) -> TraceEvent {
         TraceEvent::Span(SpanRecord {
             trace_id: 0,
             phase,
             name: "m".into(),
-            start_us: 0,
-            duration_us: us,
+            start_us,
+            duration_us,
             fields: Vec::new(),
         })
+    }
+
+    /// Concurrent spans count once toward the wall-clock share but once
+    /// per span toward the CPU share.
+    #[test]
+    fn wall_share_unions_concurrent_spans() {
+        let events = vec![
+            span_at(Phase::Place, 0, 10_000),
+            span_at(Phase::Place, 0, 10_000),
+            span_at(Phase::Stitch, 10_000, 10_000),
+        ];
+        let report = render(&events);
+        let row = |label: &str| {
+            report
+                .lines()
+                .find(|l| l.starts_with(label))
+                .unwrap_or_else(|| panic!("no {label} row:\n{report}"))
+                .split_whitespace()
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        let place = row("place");
+        assert_eq!((place[3].as_str(), place[4].as_str()), ("50.0%", "66.7%"));
+        let stitch = row("stitch");
+        assert_eq!((stitch[3].as_str(), stitch[4].as_str()), ("50.0%", "33.3%"));
+        // The flame bar follows the wall-clock share.
+        assert!(place[8].starts_with(&"#".repeat(15)) && place[8].ends_with('.'));
+    }
+
+    #[test]
+    fn interval_union_merges_overlaps_and_gaps() {
+        assert_eq!(union_us(vec![]), 0);
+        assert_eq!(union_us(vec![(5, 10), (0, 4), (3, 6), (20, 30)]), 20);
+        assert_eq!(union_us(vec![(0, 10), (2, 3)]), 10);
     }
 
     #[test]

@@ -53,6 +53,6 @@ pub mod search;
 pub use generator::{PBlock, PBlockGenerator};
 pub use resolution::{resolution_study, ResolutionPoint, STANDARD_STEPS};
 pub use search::{
-    guided_search, guided_search_observed, min_feasible_cf, min_feasible_cf_observed,
-    min_feasible_cf_reference_observed, CfResult, CfSearch, GuidedResult,
+    guided_search, guided_search_observed, min_feasible_cf, min_feasible_cf_observed, CfResult,
+    CfSearch, GuidedResult,
 };

@@ -6,15 +6,14 @@
 //! previous attempt's planned rectangle — and prescreens provably-doomed
 //! attempts with exact structural checks instead of full placements. The
 //! results (CF, attempt counts, per-reason `place.fail.*` counters) are
-//! bit-identical to the reference implementation, which is retained as
-//! [`min_feasible_cf_reference_observed`] for equivalence tests and the
-//! `bench_flow` A/B harness.
+//! bit-identical to the pre-engine search, which the equivalence tests of
+//! this module keep verbatim (test builds only) and diff against.
 
 use crate::generator::{PBlock, PBlockGenerator, PlanResume};
-use tms_device::{Rect, SliceCapacity, DSP48_ROWS, RAMB36_ROWS};
+use tms_device::Rect;
 use tms_netlist::NetlistStats;
 use tms_obs::{noop, span, Phase, Recorder};
-use tms_place::{place_in_region, PlaceContext, PlaceError, Placement, PlacementModel};
+use tms_place::{PlaceContext, Placement, PlacementModel};
 use tms_synth::PackingReport;
 
 /// Parameters of the linear minimal-CF search (Section VII: start 0.9,
@@ -111,7 +110,7 @@ impl<'a, 'd> Engine<'a, 'd> {
     }
 
     /// One place-and-route attempt at `cf`, with the same counter
-    /// bookkeeping as the reference [`attempt_reference`]: a generation
+    /// bookkeeping as the pre-engine path: a generation
     /// failure counts `pblock.generate.failed`, a placement failure counts
     /// its `place.fail.*` key. Attempts resolved by the structural
     /// prescreen — without running the congestion model or freezing a
@@ -166,111 +165,6 @@ impl<'a, 'd> Engine<'a, 'd> {
     }
 }
 
-/// The pre-engine PBlock generation path, frozen verbatim as the A/B
-/// baseline: the window sweep materialises a full capacity struct per
-/// candidate, with no full-width precheck, no threshold reduction, and no
-/// reuse across CF attempts. Identical output to
-/// [`PBlockGenerator::generate`] — the equivalence tests pin it.
-fn generate_reference(
-    gen: &PBlockGenerator<'_>,
-    shape: &tms_place::ShapeReport,
-    cf: f64,
-) -> Option<PBlock> {
-    let cf = cf.max(0.0);
-    let target = gen.slice_target(shape, cf);
-    let demand = shape.demand;
-    if target == 0 && demand == SliceCapacity::default() {
-        return Some(gen.freeze(Rect::new(0, 0, 1, 1), cf, 0));
-    }
-    let rows = gen.device().rows();
-    let mut h = ((f64::from(target) / shape.aspect).sqrt().ceil() as u32).max(1);
-    if gen.use_shape_report {
-        h = h.max(shape.min_height);
-    }
-    if demand.bram36 > 0 {
-        h = h.max(RAMB36_ROWS);
-    }
-    if demand.dsp48 > 0 {
-        h = h.max(DSP48_ROWS);
-    }
-    h = h.min(rows);
-    loop {
-        if let Some((x0, w)) = best_window_reference(gen, target, &demand, h) {
-            return Some(gen.freeze(Rect::new(x0, 0, w, h), cf, target));
-        }
-        if h >= rows {
-            return None;
-        }
-        h = (h + (h / 4).max(1)).min(rows);
-    }
-}
-
-/// The pre-engine minimal-window sweep: per-candidate capacity queries.
-fn best_window_reference(
-    gen: &PBlockGenerator<'_>,
-    target: u32,
-    demand: &SliceCapacity,
-    h: u32,
-) -> Option<(u32, u32)> {
-    let width = gen.device().width();
-    let ok = |x0: u32, w: u32| {
-        let cap = gen.prefix().capacity_in(&Rect::new(x0, 0, w, h));
-        cap.slices() >= target
-            && cap.m_slices >= demand.m_slices
-            && cap.bram36 >= demand.bram36
-            && cap.dsp48 >= demand.dsp48
-    };
-    let mut best: Option<(u32, u32)> = None;
-    let mut w = 1u32;
-    for x0 in 0..width {
-        if x0 + w > width {
-            break;
-        }
-        while x0 + w <= width && !ok(x0, w) {
-            w += 1;
-        }
-        if x0 + w > width {
-            break;
-        }
-        match best {
-            Some((_, bw)) if bw <= w => {}
-            _ => best = Some((x0, w)),
-        }
-        if w > 1 {
-            w -= 1;
-        }
-    }
-    best
-}
-
-/// One place-and-route attempt at a given CF — the pre-engine reference
-/// path: regenerate the PBlock and re-run the full placement from scratch.
-/// A placement failure is counted under its `place.fail.*` key on `obs`
-/// (a PBlock-generation failure under `pblock.generate.failed`).
-#[allow(clippy::too_many_arguments)]
-fn attempt_reference(
-    gen: &PBlockGenerator<'_>,
-    stats: &NetlistStats,
-    packing: &PackingReport,
-    shape: &tms_place::ShapeReport,
-    model: &PlacementModel,
-    cf: f64,
-    seed: u64,
-    obs: &dyn Recorder,
-) -> Result<(PBlock, Placement), Option<PlaceError>> {
-    let Some(pblock) = generate_reference(gen, shape, cf) else {
-        obs.count("pblock.generate.failed", 1);
-        return Err(None);
-    };
-    match place_in_region(stats, packing, gen.device(), &pblock.rect, model, seed) {
-        Ok(p) => Ok((pblock, p)),
-        Err(e) => {
-            obs.count(e.counter_key(), 1);
-            Err(Some(e))
-        }
-    }
-}
-
 /// Find the minimal feasible CF by linear search (the labelling procedure
 /// of Section VII). Returns `None` when no CF up to `search.max` places.
 #[allow(clippy::too_many_arguments)]
@@ -294,7 +188,8 @@ pub fn min_feasible_cf(
 /// observes `flow.cf.placed`.
 ///
 /// Runs on the incremental engine; the result and every non-prescreen
-/// counter are bit-identical to [`min_feasible_cf_reference_observed`].
+/// counter are bit-identical to the pre-engine search that the
+/// equivalence tests keep.
 #[allow(clippy::too_many_arguments)]
 pub fn min_feasible_cf_observed(
     gen: &PBlockGenerator<'_>,
@@ -313,50 +208,6 @@ pub fn min_feasible_cf_observed(
     for i in 0..=steps {
         let cf = search.start + f64::from(i) * search.step;
         if let Some((pblock, placement)) = engine.attempt(cf, obs) {
-            let attempts = i + 1;
-            sp.field("cf", cf);
-            sp.field("attempts", f64::from(attempts));
-            obs.count("pblock.search.tool_runs", u64::from(attempts));
-            obs.count("pblock.search.feasible", 1);
-            obs.observe("flow.cf.placed", cf);
-            return Some(CfResult {
-                cf,
-                pblock,
-                placement,
-                attempts,
-            });
-        }
-    }
-    sp.field("attempts", f64::from(steps + 1));
-    obs.count("pblock.search.infeasible", 1);
-    obs.count("pblock.search.wasted_runs", u64::from(steps + 1));
-    None
-}
-
-/// The pre-engine linear search, kept verbatim as the correctness baseline:
-/// every attempt regenerates its PBlock and runs the full placement. Used
-/// by the equivalence regression tests and as the reference side of the
-/// `bench_flow` A/B comparison; identical results (and identical counters,
-/// minus `pblock.search.prescreened`) to [`min_feasible_cf_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn min_feasible_cf_reference_observed(
-    gen: &PBlockGenerator<'_>,
-    stats: &NetlistStats,
-    packing: &PackingReport,
-    shape: &tms_place::ShapeReport,
-    model: &PlacementModel,
-    search: &CfSearch,
-    seed: u64,
-    obs: &dyn Recorder,
-    name: &str,
-) -> Option<CfResult> {
-    let mut sp = span(obs, Phase::Place, name);
-    let steps = ((search.max - search.start) / search.step).round() as u32;
-    for i in 0..=steps {
-        let cf = search.start + f64::from(i) * search.step;
-        if let Ok((pblock, placement)) =
-            attempt_reference(gen, stats, packing, shape, model, cf, seed, obs)
-        {
             let attempts = i + 1;
             sp.field("cf", cf);
             sp.field("attempts", f64::from(attempts));
@@ -523,13 +374,189 @@ pub fn guided_search_observed(
     Some(r)
 }
 
+/// The pre-engine search, frozen verbatim for the equivalence tests below:
+/// the engine must reproduce it bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use tms_device::{SliceCapacity, DSP48_ROWS, RAMB36_ROWS};
+    use tms_place::{place_in_region, PlaceError};
+
+    /// The pre-engine PBlock generation path, frozen verbatim: the window sweep materialises a full capacity struct per
+    /// candidate, with no full-width precheck, no threshold reduction, and no
+    /// reuse across CF attempts. Identical output to
+    /// [`PBlockGenerator::generate`] — the equivalence tests pin it.
+    fn generate_reference(
+        gen: &PBlockGenerator<'_>,
+        shape: &tms_place::ShapeReport,
+        cf: f64,
+    ) -> Option<PBlock> {
+        let cf = cf.max(0.0);
+        let target = gen.slice_target(shape, cf);
+        let demand = shape.demand;
+        if target == 0 && demand == SliceCapacity::default() {
+            return Some(gen.freeze(Rect::new(0, 0, 1, 1), cf, 0));
+        }
+        let rows = gen.device().rows();
+        let mut h = ((f64::from(target) / shape.aspect).sqrt().ceil() as u32).max(1);
+        if gen.use_shape_report {
+            h = h.max(shape.min_height);
+        }
+        if demand.bram36 > 0 {
+            h = h.max(RAMB36_ROWS);
+        }
+        if demand.dsp48 > 0 {
+            h = h.max(DSP48_ROWS);
+        }
+        h = h.min(rows);
+        loop {
+            if let Some((x0, w)) = best_window_reference(gen, target, &demand, h) {
+                return Some(gen.freeze(Rect::new(x0, 0, w, h), cf, target));
+            }
+            if h >= rows {
+                return None;
+            }
+            h = (h + (h / 4).max(1)).min(rows);
+        }
+    }
+
+    /// The pre-engine minimal-window sweep: per-candidate capacity queries.
+    fn best_window_reference(
+        gen: &PBlockGenerator<'_>,
+        target: u32,
+        demand: &SliceCapacity,
+        h: u32,
+    ) -> Option<(u32, u32)> {
+        let width = gen.device().width();
+        let ok = |x0: u32, w: u32| {
+            let cap = gen.prefix().capacity_in(&Rect::new(x0, 0, w, h));
+            cap.slices() >= target
+                && cap.m_slices >= demand.m_slices
+                && cap.bram36 >= demand.bram36
+                && cap.dsp48 >= demand.dsp48
+        };
+        let mut best: Option<(u32, u32)> = None;
+        let mut w = 1u32;
+        for x0 in 0..width {
+            if x0 + w > width {
+                break;
+            }
+            while x0 + w <= width && !ok(x0, w) {
+                w += 1;
+            }
+            if x0 + w > width {
+                break;
+            }
+            match best {
+                Some((_, bw)) if bw <= w => {}
+                _ => best = Some((x0, w)),
+            }
+            if w > 1 {
+                w -= 1;
+            }
+        }
+        best
+    }
+
+    /// One place-and-route attempt at a given CF — the pre-engine reference
+    /// path: regenerate the PBlock and re-run the full placement from scratch.
+    /// A placement failure is counted under its `place.fail.*` key on `obs`
+    /// (a PBlock-generation failure under `pblock.generate.failed`).
+    #[allow(clippy::too_many_arguments)]
+    fn attempt_reference(
+        gen: &PBlockGenerator<'_>,
+        stats: &NetlistStats,
+        packing: &PackingReport,
+        shape: &tms_place::ShapeReport,
+        model: &PlacementModel,
+        cf: f64,
+        seed: u64,
+        obs: &dyn Recorder,
+    ) -> Result<(PBlock, Placement), Option<PlaceError>> {
+        let Some(pblock) = generate_reference(gen, shape, cf) else {
+            obs.count("pblock.generate.failed", 1);
+            return Err(None);
+        };
+        match place_in_region(stats, packing, gen.device(), &pblock.rect, model, seed) {
+            Ok(p) => Ok((pblock, p)),
+            Err(e) => {
+                obs.count(e.counter_key(), 1);
+                Err(Some(e))
+            }
+        }
+    }
+
+    /// The pre-engine linear search, kept verbatim as the correctness baseline:
+    /// every attempt regenerates its PBlock and runs the full placement.
+    /// Identical results (and identical counters, minus
+    /// `pblock.search.prescreened`) to [`min_feasible_cf_observed`].
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn min_feasible_cf_reference_observed(
+        gen: &PBlockGenerator<'_>,
+        stats: &NetlistStats,
+        packing: &PackingReport,
+        shape: &tms_place::ShapeReport,
+        model: &PlacementModel,
+        search: &CfSearch,
+        seed: u64,
+        obs: &dyn Recorder,
+        name: &str,
+    ) -> Option<CfResult> {
+        let mut sp = span(obs, Phase::Place, name);
+        let steps = ((search.max - search.start) / search.step).round() as u32;
+        for i in 0..=steps {
+            let cf = search.start + f64::from(i) * search.step;
+            if let Ok((pblock, placement)) =
+                attempt_reference(gen, stats, packing, shape, model, cf, seed, obs)
+            {
+                let attempts = i + 1;
+                sp.field("cf", cf);
+                sp.field("attempts", f64::from(attempts));
+                obs.count("pblock.search.tool_runs", u64::from(attempts));
+                obs.count("pblock.search.feasible", 1);
+                obs.observe("flow.cf.placed", cf);
+                return Some(CfResult {
+                    cf,
+                    pblock,
+                    placement,
+                    attempts,
+                });
+            }
+        }
+        sp.field("attempts", f64::from(steps + 1));
+        obs.count("pblock.search.infeasible", 1);
+        obs.count("pblock.search.wasted_runs", u64::from(steps + 1));
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::min_feasible_cf_reference_observed;
     use super::*;
     use tms_device::Device;
     use tms_netlist::{ControlSet, NetlistBuilder};
-    use tms_place::quick_place;
+    use tms_place::{place_in_region, quick_place};
     use tms_synth::pack;
+
+    /// The counters the engine and the reference search must agree on:
+    /// every failure reason plus the search totals. The engine's extra
+    /// `pblock.search.prescreened` skip counter is the one permitted
+    /// difference.
+    const COUNTERS: [&str; 12] = [
+        "place.fail.off-device",
+        "place.fail.slices",
+        "place.fail.m-slice",
+        "place.fail.bram-column",
+        "place.fail.dsp-column",
+        "place.fail.carry-chain",
+        "place.fail.congestion",
+        "pblock.generate.failed",
+        "pblock.search.tool_runs",
+        "pblock.search.feasible",
+        "pblock.search.infeasible",
+        "pblock.search.wasted_runs",
+    ];
 
     fn prepared(
         build: impl FnOnce(&mut NetlistBuilder),
@@ -634,20 +661,6 @@ mod tests {
             }),
             prepared(|_| {}),
         ];
-        let fail_kinds = [
-            "place.fail.off-device",
-            "place.fail.slices",
-            "place.fail.m-slice",
-            "place.fail.bram-column",
-            "place.fail.dsp-column",
-            "place.fail.carry-chain",
-            "place.fail.congestion",
-            "pblock.generate.failed",
-            "pblock.search.tool_runs",
-            "pblock.search.feasible",
-            "pblock.search.infeasible",
-            "pblock.search.wasted_runs",
-        ];
         for model in [PlacementModel::default(), PlacementModel::deterministic()] {
             for seed in [1u64, 7] {
                 for search in [CfSearch::default(), CfSearch::wide()] {
@@ -670,7 +683,7 @@ mod tests {
                             (None, None) => {}
                             _ => panic!("feasibility diverged: {reference:?} vs {engine:?}"),
                         }
-                        for k in fail_kinds {
+                        for k in COUNTERS {
                             assert_eq!(
                                 ref_sink.counter(k),
                                 eng_sink.counter(k),
@@ -681,6 +694,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The prescreened engine sweep must reproduce the reference sweep's
+    /// exact per-module `CfResult`s and per-reason failure counters on the
+    /// full cnvW1A1 module set (the wide labelling sweep).
+    #[test]
+    fn engine_sweep_is_bit_identical_on_cnvw1a1() {
+        use tms_obs::AggregatingSink;
+        use tms_place::detail::module_key;
+        let dev = Device::xc7z020();
+        let gen = PBlockGenerator::new(&dev, true);
+        let model = PlacementModel::default();
+        let search = CfSearch::wide();
+        let design = tms_cnn::cnvw1a1(1);
+        assert_eq!(design.modules.len(), 74);
+        let ref_sink = AggregatingSink::new();
+        let eng_sink = AggregatingSink::new();
+        for m in &design.modules {
+            let stats = m.netlist.stats();
+            let packing = pack(&stats);
+            let shape = quick_place(&stats, &packing);
+            let key = module_key(&m.name, 1);
+            let name = &m.name;
+            let reference = min_feasible_cf_reference_observed(
+                &gen, &stats, &packing, &shape, &model, &search, key, &ref_sink, name,
+            );
+            let engine = min_feasible_cf_observed(
+                &gen, &stats, &packing, &shape, &model, &search, key, &eng_sink, name,
+            );
+            match (&reference, &engine) {
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.cf.to_bits(), b.cf.to_bits(), "{name}: cf diverged");
+                    assert_eq!(a.attempts, b.attempts, "{name}: attempts diverged");
+                    assert_eq!(a.pblock, b.pblock, "{name}: pblock diverged");
+                    assert_eq!(a.placement, b.placement, "{name}: placement diverged");
+                }
+                (None, None) => {}
+                _ => panic!("{name}: feasibility diverged"),
+            }
+        }
+        for k in COUNTERS {
+            assert_eq!(
+                ref_sink.counter(k),
+                eng_sink.counter(k),
+                "counter {k} diverged"
+            );
+        }
+        // The reference never prescreens; the engine does.
+        assert_eq!(ref_sink.counter("pblock.search.prescreened"), 0);
+        assert!(eng_sink.counter("pblock.search.prescreened") > 0);
     }
 
     #[test]

@@ -6,32 +6,17 @@
 //! bounded queue fills, degraded memory-only serving when the store
 //! fails, and full recovery (warm start included) once faults clear.
 
+mod common;
+
+use common::tiny_estimator;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use tms_cnn::ModuleRole;
-use tms_estimator::{CfEstimator, EstimatorKind, FeatureSet};
+use tms_estimator::FeatureSet;
 use tms_fault::{FaultPlan, FaultPoint, Retry};
-use tms_ml::Dataset;
 use tms_serve::{serve, Client, ClientError, ModuleSpec, Response, ServeConfig};
-
-/// A quickly-trained linear estimator (same shape as the service tests):
-/// the chaos suite cares about failure handling, not model quality.
-fn tiny_estimator() -> CfEstimator {
-    let mut state: u64 = 0x243F_6A88_85A3_08D3;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let xs: Vec<Vec<f64>> = (0..200).map(|_| (0..6).map(|_| next()).collect()).collect();
-    let ys: Vec<f64> = xs.iter().map(|x| 0.9 + 0.5 * x[0] + 0.2 * x[3]).collect();
-    let names = (0..6).map(|i| format!("f{i}")).collect();
-    let ds = Dataset::new(names, xs, ys);
-    CfEstimator::train_small(EstimatorKind::LinearRegression, &ds, 1)
-}
 
 fn spec(role: ModuleRole, target: u32, name: &str) -> ModuleSpec {
     ModuleSpec {

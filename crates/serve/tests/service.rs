@@ -1,28 +1,12 @@
 //! End-to-end service tests: a real server on an ephemeral port, real TCP
 //! clients, concurrent load, and the warm-cache speedup.
 
-use tms_cnn::ModuleRole;
-use tms_estimator::{CfEstimator, EstimatorKind, FeatureSet};
-use tms_ml::Dataset;
-use tms_serve::{serve, Client, ClientError, ModuleSpec, ServeConfig};
+mod common;
 
-/// A quickly-trained linear estimator over the six `Additional` features —
-/// the service doesn't care how good the model is, only that it loads and
-/// predicts deterministically.
-fn tiny_estimator() -> CfEstimator {
-    let mut state: u64 = 0x243F_6A88_85A3_08D3;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1u64 << 53) as f64
-    };
-    let xs: Vec<Vec<f64>> = (0..200).map(|_| (0..6).map(|_| next()).collect()).collect();
-    let ys: Vec<f64> = xs.iter().map(|x| 0.9 + 0.5 * x[0] + 0.2 * x[3]).collect();
-    let names = (0..6).map(|i| format!("f{i}")).collect();
-    let ds = Dataset::new(names, xs, ys);
-    CfEstimator::train_small(EstimatorKind::LinearRegression, &ds, 1)
-}
+use common::tiny_estimator;
+use tms_cnn::ModuleRole;
+use tms_estimator::FeatureSet;
+use tms_serve::{serve, Client, ClientError, ModuleSpec, ServeConfig};
 
 fn start_server(workers: usize) -> tms_serve::ServerHandle {
     let config = ServeConfig {

@@ -1179,8 +1179,8 @@ fn cmd_pack(flags: &HashMap<String, String>) {
 }
 
 fn cmd_stitch(flags: &HashMap<String, String>) {
-    use tailored_macro_sizes::flow::{bench_problem, StitchBenchConfig};
     use tailored_macro_sizes::stitch::{stitch, stitch_portfolio, StitchConfig};
+    use tms_bench::stitchbench::{bench_problem, StitchBenchConfig};
 
     let device = device_of(flags);
     let seed = num(flags, "seed", 2024);
