@@ -76,3 +76,59 @@ fn design_generation_is_seed_stable() {
     }
     assert_eq!(a.nets.len(), b.nets.len());
 }
+
+/// FNV-1a digest of everything a stitch run decides: anchors, the final
+/// cost bits, the move accounting and the unplaced list.
+fn stitch_digest(r: &tailored_macro_sizes::stitch::StitchResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for p in &r.positions {
+        match p {
+            Some((x, y)) => eat((1 << 40) | (u64::from(*x) << 20) | u64::from(*y)),
+            None => eat(0),
+        }
+    }
+    eat(r.final_cost.to_bits());
+    for v in [
+        r.total_moves,
+        r.illegal_moves,
+        r.accepted_moves,
+        r.rejected_moves,
+    ] {
+        eat(v);
+    }
+    for &u in &r.unplaced {
+        eat(u64::from(u));
+    }
+    h
+}
+
+/// Golden digests of the stitchers on the cnvW1A1 benchmark problem
+/// (seed 1), recorded before the occupancy grid became per-row bitsets:
+/// any change to the grid, the insertion scan or its no-fit memo must
+/// leave every decision bit-identical. On the xc7z020 the canonical
+/// portfolio leaves most blocks unplaced, so the repair path runs.
+#[test]
+fn stitch_kernels_match_their_golden_digests() {
+    use tailored_macro_sizes::stitch::{stitch, stitch_portfolio};
+    use tms_bench::stitchbench::{bench_problem, StitchBenchConfig};
+
+    let portfolio = StitchBenchConfig::canonical(1).portfolio;
+    let mut got = Vec::new();
+    for dev in [Device::xc7z020(), Device::xc7z045()] {
+        let problem = bench_problem(&dev, 1);
+        let (p, _) = stitch_portfolio(&dev, &problem, &portfolio);
+        let s = stitch(&dev, &problem, &StitchConfig::standard(1));
+        got.push((stitch_digest(&p), stitch_digest(&s)));
+    }
+    // (portfolio, single-run SA) per device, as `{:#018x}`.
+    let want = [
+        (0x14aa_1cc5_4127_8d29, 0x31a7_7f6d_0e59_1d28),
+        (0x866c_e788_dd84_48a7, 0x6b5d_6a82_d3ba_78a4),
+    ];
+    assert_eq!(got, want, "a stitch decision changed (xc7z020, xc7z045)");
+}
